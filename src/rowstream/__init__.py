@@ -42,6 +42,7 @@ from .frame import (
     Frame,
     ParseReport,
     Schema,
+    check_layout,
     concat_frames,
     frames_equal,
     infer_schema,
@@ -49,7 +50,7 @@ from .frame import (
     parse_frame,
     parse_frame_with_header,
     split_quoted,
-    split_records,
+    tokenize,
 )
 from .matrix import DenseMatrix, parse_matrix
 from .model_matrix import (
@@ -119,6 +120,7 @@ __all__ = [
     "adjust_split",
     "append_to_checkpoint",
     "byte_range_splits",
+    "check_layout",
     "chunk_apply",
     "concat_frames",
     "expand",
@@ -142,7 +144,7 @@ __all__ = [
     "solve_ne",
     "spec_names",
     "split_quoted",
-    "split_records",
     "synthetic_csv",
+    "tokenize",
     "write_sidecar",
 ]

@@ -149,7 +149,7 @@ def _split_worker(path, win_lo, win_hi, cfg: ChunkerConfig, f):
         if w0 == 0:
             start = 0
         else:
-            at = _scan_for_sep(stream, w0 - 1, cfg.record_sep)
+            at = _scan_for_sep(stream, w0 - 1)
             if at == -1:
                 return "ok", results
             start = at + 1

@@ -89,14 +89,13 @@ def naive_parse_frame(chunk: bytes, schema: Schema, skip_lines: int = 0,
     names = schema.out_names()
     sep = schema.field_sep[0]
     quote = schema.quote[0] if schema.quote is not None else None
-    strip_cr = schema.strip_cr
     acc_values = [[] for _ in out_types]
     acc_mask = [[] for _ in out_types]
     failures = [0] * len(out_types)
     state = {"records": 0, "skipped": 0, "short": 0, "long": 0}
 
     def take_record(raw: bytearray):
-        if strip_cr and raw.endswith(b"\r"):
+        if raw.endswith(b"\r"):
             del raw[-1]
         if state["skipped"] < skip_lines:
             state["skipped"] += 1

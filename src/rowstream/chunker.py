@@ -1,14 +1,15 @@
 """Record-aligned chunking of delimited byte streams.
 
 A chunk is a contiguous slice of the input that ends on a record separator
-(except possibly the last chunk) and never splits a record.  Chunk boundaries
-are a pure function of byte positions, not of how the stream is read: the
-stream is divided into fixed windows of ``target_bytes``, and the chunk for
-window ``k`` ends at the first separator at or past the window's last byte.
-Consecutive windows whose chunks would be empty are absorbed into the chunk
-that ends past them.  Because the rule only looks at absolute positions, any
-byte range of the file can be chunked independently and the pieces agree
-exactly with a single sequential pass.
+(except possibly the last chunk) and never splits a record.  Records end at
+LF (see ``frame.tokenize``); the chunker only searches for it.  Chunk
+boundaries are a pure function of byte positions, not of how the stream is
+read: the stream is divided into fixed windows of ``target_bytes``, and the
+chunk for window ``k`` ends at the first separator at or past the window's
+last byte.  Consecutive windows whose chunks would be empty are absorbed into
+the chunk that ends past them.  Because the rule only looks at absolute
+positions, any byte range of the file can be chunked independently and the
+pieces agree exactly with a single sequential pass.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ _READ_SIZE = 1 << 20
 
 Source = Union[str, Path, BinaryIO, bytes]
 
+_SEP = b"\n"
+
 
 @dataclass(frozen=True)
 class ChunkerConfig:
@@ -38,13 +41,10 @@ class ChunkerConfig:
 
     target_bytes: int = 32 * 1024 * 1024
     hard_cap_bytes: int = 0
-    record_sep: bytes = b"\n"
 
     def __post_init__(self):
         if self.target_bytes < 1:
             raise ValueError("target_bytes must be positive")
-        if len(self.record_sep) != 1:
-            raise ValueError("record_sep must be a single byte")
         if self.hard_cap_bytes == 0:
             object.__setattr__(self, "hard_cap_bytes", 8 * self.target_bytes)
         if self.hard_cap_bytes < self.target_bytes:
@@ -68,9 +68,7 @@ def _open_source(source: Source) -> tuple[BinaryIO, bool]:
     return source, False
 
 
-def _audit_record_lengths(
-    data: bytes, sep: bytes, tail: int, cap: int, at: int
-) -> int:
+def _audit_record_lengths(data: bytes, tail: int, cap: int, at: int) -> int:
     """Extend the running separator-free byte count across ``data``.
 
     ``tail`` is the payload length accumulated since the last separator before
@@ -79,7 +77,7 @@ def _audit_record_lengths(
     interior of a block is only scanned separator-by-separator when its total
     separator span is large enough to possibly hide an over-long record.
     """
-    j = data.find(sep)
+    j = data.find(_SEP)
     if j == -1:
         tail += len(data)
         if tail > cap:
@@ -92,11 +90,11 @@ def _audit_record_lengths(
         raise RecordTooLarge(
             f"record near byte {at - tail} exceeds hard cap of {cap} bytes"
         )
-    k = data.rfind(sep)
+    k = data.rfind(_SEP)
     if k - j - 1 > cap:
         p = j
         while True:
-            q = data.find(sep, p + 1)
+            q = data.find(_SEP, p + 1)
             if q == -1:
                 break
             if q - p - 1 > cap:
@@ -126,7 +124,6 @@ def _raw_chunks(
     """
     target = cfg.target_bytes
     cap = cfg.hard_cap_bytes
-    sep = cfg.record_sep
     buf = b""
     base = start  # absolute position of buf[0]
     tail = 0  # separator-free bytes accumulated before the next read
@@ -137,7 +134,7 @@ def _raw_chunks(
         cut = -1
         while True:
             if search_from < len(buf):
-                cut = buf.find(sep, search_from)
+                cut = buf.find(_SEP, search_from)
                 if cut != -1:
                     break
                 search_from = len(buf)
@@ -147,7 +144,7 @@ def _raw_chunks(
             if not data:
                 eof = True
                 continue
-            tail = _audit_record_lengths(data, sep, tail, cap, base + len(buf))
+            tail = _audit_record_lengths(data, tail, cap, base + len(buf))
             buf += data
         if cut == -1:
             if buf:
@@ -222,22 +219,20 @@ def byte_range_splits(file_size: int, n_splits: int) -> list[tuple[int, int]]:
     return splits
 
 
-def _scan_for_sep(stream: BinaryIO, pos: int, sep: bytes) -> int:
-    """Absolute position of the first ``sep`` at or past ``pos``, or -1."""
+def _scan_for_sep(stream: BinaryIO, pos: int) -> int:
+    """Absolute position of the first separator at or past ``pos``, or -1."""
     stream.seek(pos)
     while True:
         data = stream.read(_READ_SIZE)
         if not data:
             return -1
-        j = data.find(sep)
+        j = data.find(_SEP)
         if j != -1:
             return pos + j
         pos += len(data)
 
 
-def adjust_split(
-    stream: BinaryIO, offset: int, length: int, record_sep: bytes = b"\n"
-) -> tuple[int, int]:
+def adjust_split(stream: BinaryIO, offset: int, length: int) -> tuple[int, int]:
     """Snap a byte range outward to record boundaries.
 
     The adjusted range covers exactly the records whose first byte lies in
@@ -254,10 +249,10 @@ def adjust_split(
     if offset == 0:
         start = 0
     else:
-        at = _scan_for_sep(stream, offset - 1, record_sep)
+        at = _scan_for_sep(stream, offset - 1)
         start = at + 1 if at != -1 else size
     if length == 0:
         return start, start
-    at = _scan_for_sep(stream, offset + length - 1, record_sep)
+    at = _scan_for_sep(stream, offset + length - 1)
     end = at + 1 if at != -1 else size
     return start, max(end, start)

@@ -35,6 +35,8 @@ from .errors import (
 from .frame import (
     ParseReport,
     Schema,
+    _skip_records,
+    check_layout,
     infer_schema,
     parse_frame,
     parse_frame_with_header,
@@ -48,7 +50,13 @@ from .model_matrix import (
     normalize_hhmm_column,
     spec_names,
 )
-from .ols import DEFAULT_RANK_TOL, NormalEqAccumulator, merge, solve_ne
+from .ols import (
+    DEFAULT_RANK_TOL,
+    NormalEqAccumulator,
+    accumulate,
+    merge,
+    solve_ne,
+)
 from .writer import (
     append_to_checkpoint,
     format_frame,
@@ -96,8 +104,7 @@ def _sep_bytes(text: str) -> bytes:
     if text == "\\t":
         text = "\t"
     raw = text.encode("utf-8")
-    if len(raw) != 1:
-        raise SchemaError(f"separator must be a single byte, got {text!r}")
+    check_layout(raw)
     return raw
 
 
@@ -106,20 +113,6 @@ def _default_chunker() -> ChunkerConfig:
     if env:
         return ChunkerConfig(target_bytes=int(env))
     return ChunkerConfig()
-
-
-def _drop_records(data: bytes, n: int):
-    """Drop up to n leading records from a record-aligned buffer."""
-    dropped = 0
-    pos = 0
-    size = len(data)
-    while dropped < n and pos < size:
-        j = data.find(b"\n", pos)
-        if j == -1:
-            return b"", dropped + 1  # unterminated final record
-        dropped += 1
-        pos = j + 1
-    return data[pos:], dropped
 
 
 def _parse_stream(path, schema_arg, sep, header, skip, strict, cfg):
@@ -138,15 +131,12 @@ def _parse_stream(path, schema_arg, sep, header, skip, strict, cfg):
             yield schema, frame, report
             continue
         if remaining_skip:
-            data, dropped = _drop_records(data, remaining_skip)
+            data, dropped = _skip_records(data, remaining_skip)
             remaining_skip -= dropped
         if not data:
             continue
         if schema_arg == "infer":
-            sample = data
-            if header:
-                j = sample.find(b"\n")
-                sample = sample[j + 1:] if j != -1 else b""
+            sample = _skip_records(data, 1)[0] if header else data
             if not sample:
                 raise SchemaError(
                     "first chunk holds no data records to infer from; "
@@ -284,18 +274,16 @@ def cmd_mm(args) -> int:
 
 def _fit_chunk(data: bytes, n_cols: int, resp_idx: int):
     matrix, failures = parse_matrix(data, ColumnType.REAL)
-    values = matrix.values
-    if matrix.n_rows == 0:
-        d = n_cols - 1
-        return np.zeros((d, d)), np.zeros(d), 0, failures
-    if matrix.n_cols != n_cols:
-        raise DimensionMismatch(
-            f"checkpoint chunk has {matrix.n_cols} columns, "
-            f"sidecar lists {n_cols}"
-        )
-    y = values[:, resp_idx]
-    X = np.delete(values, resp_idx, axis=1)
-    return X.T @ X, X.T @ y, values.shape[0], failures
+    acc = NormalEqAccumulator(n_cols - 1)
+    if matrix.n_rows:
+        if matrix.n_cols != n_cols:
+            raise DimensionMismatch(
+                f"checkpoint chunk has {matrix.n_cols} columns, "
+                f"sidecar lists {n_cols}"
+            )
+        values = matrix.values
+        accumulate(acc, np.delete(values, resp_idx, axis=1), values[:, resp_idx])
+    return acc, failures
 
 
 def cmd_fit(args) -> int:
@@ -315,10 +303,10 @@ def cmd_fit(args) -> int:
         partial(_fit_chunk, n_cols=len(names), resp_idx=resp_idx),
         cfg,
     )
-    acc = NormalEqAccumulator.zero(len(x_names))
+    acc = NormalEqAccumulator(len(x_names))
     failures = 0
-    for xtx, xty, n, fails in pieces:
-        acc = merge(acc, NormalEqAccumulator(acc.d, xtx, xty, n))
+    for part, fails in pieces:
+        acc = merge(acc, part)
         failures += fails
     fit = solve_ne(acc, x_names, rank_tol=args.rank_tol)
     elapsed = time.perf_counter() - started

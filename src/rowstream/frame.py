@@ -1,10 +1,15 @@
 """Typed column frames parsed from delimited byte chunks.
 
-The parser is bulk-first: a chunk is split into records and fields with
-``bytes.split``, and each column is coerced with one vectorized numpy cast.
-Columns that the vectorized cast rejects fall back to per-field coercion with
-identical semantics, so parse results never depend on chunk boundaries or on
-which path ran.
+The parser is bulk-first: :func:`tokenize` splits a chunk into records and
+fields with ``bytes.split``, and each column is coerced with one vectorized
+numpy cast.  Columns that the vectorized cast rejects fall back to per-field
+coercion with identical semantics, so parse results never depend on chunk
+boundaries or on which path ran.
+
+This module owns the record layout: a record ends at LF (one trailing CR is
+dropped), fields are split on one separator byte, and an optional quote byte
+makes the separator literal.  :func:`check_layout` validates both bytes, and
+:func:`tokenize` is the only splitter.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ __all__ = [
     "infer_schema",
     "concat_frames",
     "frames_equal",
-    "split_records",
+    "check_layout",
+    "tokenize",
     "split_quoted",
 ]
 
@@ -48,15 +54,13 @@ class Schema:
     (optional) covers only the output columns, i.e. the non-skip positions.
     ``quote`` enables opt-in quote handling: inside a quoted region the field
     separator is literal and a doubled quote is a literal quote character.
-    Records are always newline-separated; ``strip_cr`` drops a trailing
-    carriage return from each record so CRLF input parses like LF input.
+    Records follow the layout described in the module docstring.
     """
 
     types: tuple
     names: tuple | None = None
     field_sep: bytes = b","
     quote: bytes | None = None
-    strip_cr: bool = True
 
     def __post_init__(self):
         if not self.types:
@@ -68,13 +72,7 @@ class Schema:
                 raise SchemaError(
                     f"{len(self.names)} names for {self.n_out} output columns"
                 )
-        if len(self.field_sep) != 1 or self.field_sep == b"\n":
-            raise SchemaError("field_sep must be a single non-newline byte")
-        if self.quote is not None:
-            if len(self.quote) != 1 or self.quote in (b"\n", self.field_sep):
-                raise SchemaError(
-                    "quote must be a single byte distinct from separators"
-                )
+        check_layout(self.field_sep, self.quote)
 
     @property
     def n_out(self) -> int:
@@ -181,15 +179,56 @@ def parse_field(field_bytes: bytes, ctype: ColumnType):
     return value
 
 
-def split_records(chunk: bytes, strip_cr: bool = True) -> list:
-    """Split a chunk into records, dropping the empty tail after a final
-    newline and, optionally, one trailing carriage return per record."""
-    records = chunk.split(b"\n")
-    if records and records[-1] == b"":
+def check_layout(field_sep: bytes, quote: bytes | None = None) -> None:
+    """Raise SchemaError unless ``field_sep`` is one non-newline byte and
+    ``quote`` (when given) is one byte distinct from both separators."""
+    if len(field_sep) != 1 or field_sep == b"\n":
+        raise SchemaError("field_sep must be a single non-newline byte")
+    if quote is not None and (len(quote) != 1 or quote in (b"\n", field_sep)):
+        raise SchemaError("quote must be a single byte distinct from separators")
+
+
+def _skip_records(chunk: bytes, n: int):
+    """Drop up to ``n`` leading records; returns ``(rest, n_dropped)``.
+    An unterminated final record counts as a record."""
+    if n < 0:
+        raise ValueError("skip_lines must be non-negative")
+    dropped = 0
+    pos = 0
+    while dropped < n and pos < len(chunk):
+        j = chunk.find(b"\n", pos)
+        if j == -1:
+            return b"", dropped + 1
+        dropped += 1
+        pos = j + 1
+    return chunk[pos:], dropped
+
+
+def tokenize(chunk: bytes, field_sep: bytes = b",", quote: bytes | None = None,
+             skip: int = 0, limit: int = -1):
+    """Split a chunk into rows of raw fields.
+
+    Returns ``(rows, quoted, n_skipped)``.  ``skip`` drops leading records
+    first (``n_skipped`` says how many the chunk held); ``limit``, when not
+    negative, keeps at most that many of the records after them, and the
+    rest of the chunk is not split.  The empty tail after a final newline is
+    not a record.  Without ``quote``, ``quoted`` is None; with it, each row
+    has a parallel list of flags from :func:`split_quoted`.
+    """
+    check_layout(field_sep, quote)
+    n_skipped = 0
+    if skip:
+        chunk, n_skipped = _skip_records(chunk, skip)
+    records = chunk.split(b"\n", limit)
+    # drop the empty tail after a final LF, or the unsplit rest past limit
+    if records[-1] == b"" or len(records) > limit >= 0:
         records.pop()
-    if strip_cr and b"\r" in chunk:
+    if b"\r" in chunk:
         records = [r[:-1] if r.endswith(b"\r") else r for r in records]
-    return records
+    if quote is None:
+        return [r.split(field_sep) for r in records], None, n_skipped
+    pairs = [split_quoted(r, field_sep, quote) for r in records]
+    return [p[0] for p in pairs], [p[1] for p in pairs], n_skipped
 
 
 def split_quoted(record: bytes, sep: bytes, quote: bytes):
@@ -239,19 +278,8 @@ def split_quoted(record: bytes, sep: bytes, quote: bytes):
     return fields, flags
 
 
-def _build_frame(records, schema: Schema, bulk: bool, n_skipped: int):
+def _build_frame(rows, qrows, schema: Schema, bulk: bool, n_skipped: int):
     n_cols = len(schema.types)
-    if schema.quote is None:
-        sep = schema.field_sep
-        rows = [r.split(sep) for r in records]
-        qrows = None
-    else:
-        rows = []
-        qrows = []
-        for r in records:
-            fields, flags = split_quoted(r, schema.field_sep, schema.quote)
-            rows.append(fields)
-            qrows.append(flags)
     short = long_ = 0
     for idx, row in enumerate(rows):
         k = len(row)
@@ -278,7 +306,7 @@ def _build_frame(records, schema: Schema, bulk: bool, n_skipped: int):
         columns.append(Column(names[out_i], ctype, values, mask))
         failures[names[out_i]] = fails
         out_i += 1
-    report = ParseReport(len(records), n_skipped, short, long_, failures)
+    report = ParseReport(len(rows), n_skipped, short, long_, failures)
     return Frame(columns), report
 
 
@@ -304,14 +332,10 @@ def parse_frame(chunk: bytes, schema: Schema, skip_lines: int = 0,
     next chunk).  With ``strict=True`` any coercion failure or ragged row
     raises StrictViolation instead of being counted.
     """
-    if skip_lines < 0:
-        raise ValueError("skip_lines must be non-negative")
-    records = split_records(chunk, schema.strip_cr)
-    skipped = min(skip_lines, len(records))
-    if skipped:
-        records = records[skipped:]
+    rows, quoted, skipped = tokenize(chunk, schema.field_sep, schema.quote,
+                                     skip_lines)
     bulk = b"\x00" not in chunk
-    frame, report = _build_frame(records, schema, bulk, skipped)
+    frame, report = _build_frame(rows, quoted, schema, bulk, skipped)
     if strict:
         _enforce_strict(report)
     return frame, report
@@ -324,13 +348,10 @@ def parse_frame_with_header(chunk: bytes, schema: Schema, strict: bool = False):
     skipped ones); names at skipped positions are dropped.  Any names already
     on the schema are replaced.
     """
-    records = split_records(chunk, schema.strip_cr)
-    if not records:
+    rows, quoted, _ = tokenize(chunk, schema.field_sep, schema.quote)
+    if not rows:
         raise HeaderArityMismatch("no header record in an empty chunk")
-    if schema.quote is None:
-        hfields = records[0].split(schema.field_sep)
-    else:
-        hfields, _ = split_quoted(records[0], schema.field_sep, schema.quote)
+    hfields = rows[0]
     if len(hfields) != len(schema.types):
         raise HeaderArityMismatch(
             f"header has {len(hfields)} fields, schema has {len(schema.types)}"
@@ -342,25 +363,27 @@ def parse_frame_with_header(chunk: bytes, schema: Schema, strict: bool = False):
     )
     named = replace(schema, names=names)
     bulk = b"\x00" not in chunk
-    frame, report = _build_frame(records[1:], named, bulk, 0)
+    if quoted is not None:
+        quoted = quoted[1:]
+    frame, report = _build_frame(rows[1:], quoted, named, bulk, 0)
     if strict:
         _enforce_strict(report)
     return frame, report
 
 
 def infer_schema(sample: bytes, max_records: int = 1000,
-                 field_sep: bytes = b",", strip_cr: bool = True) -> Schema:
+                 field_sep: bytes = b",") -> Schema:
     """Guess column types from the leading records of a sample.
 
     Candidate order per column is Logical, Integer, Real, then Character;
     null tokens are ignored and an all-null column becomes Character.  The
     Bytes, Complex, and Timestamp types are never inferred.  Quote handling
-    is not applied while sampling.
+    is not applied while sampling, and only ``max_records`` records are
+    split.
     """
-    records = split_records(sample, strip_cr)[:max_records]
-    if not records:
+    rows, _, _ = tokenize(sample, field_sep, limit=max_records)
+    if not rows:
         raise SchemaError("cannot infer a schema from an empty sample")
-    rows = [r.split(field_sep) for r in records]
     n_cols = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != n_cols:
@@ -370,7 +393,7 @@ def infer_schema(sample: bytes, max_records: int = 1000,
     types = []
     for j in range(n_cols):
         types.append(_infer_column([row[j] for row in rows]))
-    return Schema(types=tuple(types), field_sep=field_sep, strip_cr=strip_cr)
+    return Schema(types=tuple(types), field_sep=field_sep)
 
 
 def _infer_column(fields) -> ColumnType:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._coerce import ColumnType, convert_column
 from .errors import RaggedInput, SchemaError, StrictViolation
-from .frame import split_records
+from .frame import tokenize
 
 __all__ = ["DenseMatrix", "parse_matrix", "MATRIX_TYPES"]
 
@@ -75,7 +75,6 @@ def parse_matrix(
     field_sep: bytes = b",",
     row_names_col: bool = False,
     skip_lines: int = 0,
-    strip_cr: bool = True,
     strict: bool = False,
 ):
     """Parse a record-aligned chunk into one DenseMatrix.
@@ -90,14 +89,9 @@ def parse_matrix(
     """
     if elem_type not in MATRIX_TYPES:
         raise SchemaError(f"matrices cannot hold {elem_type.value} elements")
-    if len(field_sep) != 1 or field_sep == b"\n":
-        raise SchemaError("field_sep must be a single non-newline byte")
-    records = split_records(chunk, strip_cr)
-    if skip_lines:
-        records = records[skip_lines:]
-    if not records:
+    rows, _, _ = tokenize(chunk, field_sep, skip=skip_lines)
+    if not rows:
         return DenseMatrix(np.empty((0, 0), dtype=_DTYPES[elem_type])), 0
-    rows = [r.split(field_sep) for r in records]
     arity = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != arity:

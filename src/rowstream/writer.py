@@ -19,7 +19,7 @@ import numpy as np
 
 from ._coerce import ColumnType
 from .errors import SeparatorCollision
-from .frame import Column, Frame
+from .frame import Column, Frame, check_layout
 from .matrix import DenseMatrix
 
 __all__ = [
@@ -107,11 +107,9 @@ def format_frame(
     quote: bytes | None = None,
 ) -> bytes:
     """Render a frame as delimited text, one record per row, trailing newline
-    after every record.  The output of any parse is a valid parse input."""
-    if len(field_sep) != 1 or field_sep == b"\n":
-        raise SeparatorCollision("field_sep must be a single non-newline byte")
-    if quote is not None and (len(quote) != 1 or quote in (b"\n", field_sep)):
-        raise SeparatorCollision("quote must be a single byte distinct from separators")
+    after every record.  The output of any parse is a valid parse input.
+    A ``field_sep`` or ``quote`` that fails check_layout raises SchemaError."""
+    check_layout(field_sep, quote)
     n_cols = frame.n_cols
     pieces = []
     if include_header:
@@ -138,8 +136,7 @@ def format_matrix(matrix: DenseMatrix, field_sep: bytes = b",") -> bytes:
     """Render a matrix as headerless delimited text; row names are not
     written.  Character cells have no quoting escape hatch here, so cells
     that collide with the layout raise SeparatorCollision."""
-    if len(field_sep) != 1 or field_sep == b"\n":
-        raise SeparatorCollision("field_sep must be a single non-newline byte")
+    check_layout(field_sep)
     v = matrix.values
     kind = v.dtype.kind
     if kind == "f":

@@ -201,8 +201,3 @@ def test_adjust_split_record_at_offset_is_owned():
     s, e = adjust_split(stream, 5, 0)
     assert s == e
 
-
-def test_custom_record_separator():
-    data = b"a;bb;ccc"
-    got = chunk_bytes(data, target_bytes=4, record_sep=b";")
-    assert got == [b"a;bb;", b"ccc"]

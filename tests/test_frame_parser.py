@@ -19,7 +19,7 @@ from rowstream import (
     parse_frame,
     parse_frame_with_header,
     split_quoted,
-    split_records,
+    tokenize,
 )
 from rowstream._coerce import convert_column
 from rowstream.bench import _naive_split_fields
@@ -219,15 +219,12 @@ def test_header_arity_mismatch():
 def test_crlf_records():
     frame, _ = parse_frame(b"1,a\r\n2,b\r\n", Schema((I, C)))
     assert frame.column("V2").values == ["a", "b"]
-    kept = Schema((I, C), strip_cr=False)
-    frame2, _ = parse_frame(b"1,a\r\n", kept)
-    assert frame2.column("V2").values == ["a\r"]
 
 
-def test_split_records_only_strips_final_cr():
-    assert split_records(b"a\r\nb\r\n") == [b"a", b"b"]
-    assert split_records(b"a\rx\n") == [b"a\rx"]
-    assert split_records(b"tail") == [b"tail"]
+def test_tokenize_only_strips_final_cr():
+    assert tokenize(b"a\r\nb\r\n")[0] == [[b"a"], [b"b"]]
+    assert tokenize(b"a\rx\n")[0] == [[b"a\rx"]]
+    assert tokenize(b"tail")[0] == [[b"tail"]]
 
 
 def test_quoted_fields():

@@ -76,6 +76,13 @@ def test_skip_lines():
     assert m.values.tolist() == [[1.0, 2.0]]
 
 
+def test_negative_skip_is_rejected_like_parse_frame():
+    with pytest.raises(ValueError):
+        parse_matrix(b"1\n2\n3\n", REAL, skip_lines=-1)
+    with pytest.raises(ValueError):
+        parse_frame(b"1\n2\n3\n", Schema((REAL,)), skip_lines=-1)
+
+
 def test_nul_byte_forces_slow_path_same_result():
     m, failures = parse_matrix(b"1,2\n3,4\n\x001,6\n", REAL)
     assert failures == 1  # "\x001" is not a number
