@@ -10,7 +10,6 @@ splits.  The ``rowstream`` console script fronts the common paths.
 
 from ._coerce import ColumnType
 from .apply import ApplyConfig, chunk_apply
-from .bench import BenchReport, naive_parse_frame, run_bench, synthetic_csv
 from .chunker import (
     Chunk,
     ChunkerConfig,
@@ -84,7 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApplyConfig",
-    "BenchReport",
     "Chunk",
     "ChunkerConfig",
     "Column",
@@ -130,7 +128,6 @@ __all__ = [
     "infer_schema",
     "iter_chunks",
     "merge",
-    "naive_parse_frame",
     "next_chunk",
     "normalize_hhmm",
     "normalize_hhmm_column",
@@ -139,12 +136,10 @@ __all__ = [
     "parse_frame_with_header",
     "parse_matrix",
     "read_sidecar",
-    "run_bench",
     "sidecar_path",
     "solve_ne",
     "spec_names",
     "split_quoted",
-    "synthetic_csv",
     "tokenize",
     "write_sidecar",
 ]

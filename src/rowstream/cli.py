@@ -1,11 +1,10 @@
-"""Command-line surface: parse, mm (model-matrix checkpointing), fit, bench.
+"""Command-line surface: parse, mm (model-matrix checkpointing), fit.
 
 All diagnostics go to standard error; primary output (re-serialized frames,
-coefficient tables, benchmark reports) goes to standard output or the --out
-path, so commands compose in pipelines.  Exit codes: 0 success, 1 input or
-format error, 2 verification failure (--strict violations, benchmark frame
-mismatch).  The environment variable CHUNK_TARGET_BYTES overrides the
-default chunk size.
+coefficient tables) goes to standard output or the --out path, so commands
+compose in pipelines.  Exit codes: 0 success, 1 input or format error,
+2 verification failure (--strict violations).  The environment variable
+CHUNK_TARGET_BYTES overrides the default chunk size.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 from dataclasses import replace
 from functools import partial
@@ -23,7 +21,6 @@ import numpy as np
 
 from ._coerce import ColumnType
 from .apply import ApplyConfig, chunk_apply
-from .bench import SYNTHETIC_SCHEMA_LETTERS, run_bench, synthetic_csv
 from .chunker import ChunkerConfig, iter_chunks
 from .errors import (
     DimensionMismatch,
@@ -225,7 +222,21 @@ def _build_terms(raw):
     return terms, hhmm_cols
 
 
+def _refuse_unfinished(checkpoint) -> Path:
+    """Return the ``.partial`` marker path; refuse a checkpoint that a failed
+    ``mm`` left unfinished, since appending to or fitting it reuses rows."""
+    marker = Path(str(checkpoint) + ".partial")
+    if marker.exists():
+        raise RowstreamError(
+            f"{marker} exists: an earlier mm into {checkpoint} did not finish; "
+            "delete the checkpoint, its .names sidecar and the marker, "
+            "then rerun mm"
+        )
+    return marker
+
+
 def cmd_mm(args) -> int:
+    marker = _refuse_unfinished(args.out)
     cfg = _default_chunker()
     sep = _sep_bytes(args.sep)
     terms, hhmm_cols = _build_terms(getattr(args, "terms", None) or [])
@@ -243,7 +254,6 @@ def cmd_mm(args) -> int:
                 f"existing sidecar for {out} lists different columns; "
                 "refusing to append a mismatched matrix"
             )
-    marker = Path(str(out) + ".partial")
     marker.touch()
     write_sidecar(out, names)
     err = sys.stderr
@@ -287,6 +297,7 @@ def _fit_chunk(data: bytes, n_cols: int, resp_idx: int):
 
 
 def cmd_fit(args) -> int:
+    _refuse_unfinished(args.checkpoint)
     names = read_sidecar(args.checkpoint)
     if args.response not in names:
         raise MissingColumn(
@@ -323,34 +334,6 @@ def cmd_fit(args) -> int:
         file=sys.stderr,
     )
     return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    if (args.size_mb is None) == (args.input is None):
-        raise SchemaError("give exactly one of --size-mb or an input path")
-    cleanup = None
-    if args.input is None:
-        if args.schema:
-            print("note: --schema is ignored with --size-mb (synthetic data "
-                  f"is always {SYNTHETIC_SCHEMA_LETTERS})", file=sys.stderr)
-        letters = SYNTHETIC_SCHEMA_LETTERS
-        fd, path = tempfile.mkstemp(prefix="rowstream-bench-", suffix=".csv")
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(synthetic_csv(args.size_mb * 1_000_000))
-        cleanup = path
-    else:
-        if not args.schema:
-            raise SchemaError("--schema is required with an input file")
-        letters = args.schema
-        path = args.input
-    schema = Schema(_parse_types(letters), field_sep=_sep_bytes(args.sep))
-    try:
-        report = run_bench(path, schema, trials=args.trials)
-    finally:
-        if cleanup:
-            os.unlink(cleanup)
-    print(report.render())
-    return EXIT_OK if report.frames_match else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,14 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("bench", help="compare bulk vs naive parse throughput")
-    p.add_argument("input", nargs="?", help="existing delimited file")
-    p.add_argument("--size-mb", type=int, metavar="N",
-                   help="generate N MB of synthetic data instead")
-    p.add_argument("--schema", help=_SCHEMA_HELP + " (required with an input file)")
-    p.add_argument("--sep", default=",")
-    p.add_argument("--trials", type=int, default=5)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

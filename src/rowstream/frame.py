@@ -181,10 +181,13 @@ def parse_field(field_bytes: bytes, ctype: ColumnType):
 
 def check_layout(field_sep: bytes, quote: bytes | None = None) -> None:
     """Raise SchemaError unless ``field_sep`` is one non-newline byte and
-    ``quote`` (when given) is one byte distinct from both separators."""
-    if len(field_sep) != 1 or field_sep == b"\n":
+    ``quote`` (when given) is one byte distinct from both separators, each
+    given as ``bytes``."""
+    if (not isinstance(field_sep, bytes) or len(field_sep) != 1
+            or field_sep == b"\n"):
         raise SchemaError("field_sep must be a single non-newline byte")
-    if quote is not None and (len(quote) != 1 or quote in (b"\n", field_sep)):
+    if quote is not None and (not isinstance(quote, bytes) or len(quote) != 1
+                              or quote in (b"\n", field_sep)):
         raise SchemaError("quote must be a single byte distinct from separators")
 
 

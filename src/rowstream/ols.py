@@ -1,12 +1,12 @@
 """Out-of-core least squares via blockwise normal equations.
 
 Accumulate X'X and X'y a chunk at a time, merge accumulators in sequence
-order, then solve once.  Rank deficiency (aliased columns) is detected with
-a pivoted Cholesky factorization on the accumulated cross-products: pivots
-are chosen as the largest remaining diagonal (ties to the lowest index) and
-factorization stops when the next pivot falls below rank_tol times the
-largest original diagonal.  Coefficients are solved on the kept subsystem;
-dropped columns are reported by name with no coefficient.
+order, then solve once.  Aliased columns are found by a Cholesky pass in
+column order that drops column k when its pivot is at most rank_tol times
+its own original diagonal: a per-column test, so column scale does not
+matter, and the earlier of two collinear columns is kept, as in R's ``lm``.
+Coefficients are solved on the kept subsystem; dropped columns are reported
+by name with no coefficient.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ def merge(a: NormalEqAccumulator, b: NormalEqAccumulator) -> NormalEqAccumulator
 
 @dataclass
 class RegressionFit:
-    """Solved coefficients plus the rank bookkeeping behind them."""
+    """Solved coefficients plus the rank bookkeeping behind them: ``kept``
+    indexes the kept columns and ``dropped`` names the rest, in column order."""
 
     coef: dict
     kept: list
@@ -126,7 +127,7 @@ def solve_ne(
 
     ``names`` labels the design columns (length d).  Returns a RegressionFit
     whose ``coef`` maps kept column names to estimates and whose ``dropped``
-    lists aliased columns in the order the factorization rejected them.
+    lists aliased columns in column order.
     Raises DegenerateSystem for an empty or all-zero design and
     NotPositiveSemidefinite if the cross-products are not a valid X'X.
     """
@@ -138,39 +139,30 @@ def solve_ne(
     A = np.array(acc.xtx, dtype=np.float64)
     if not np.isfinite(A).all() or not np.isfinite(acc.xty).all():
         raise DegenerateSystem("non-finite values in accumulated products")
-    max_diag = float(np.diagonal(A).max())
-    if not max_diag > 0:
+    diag = np.diagonal(A).copy()
+    if not diag.max() > 0:
         raise DegenerateSystem("all-zero design")
-    threshold = rank_tol * max_diag
-    psd_floor = -1e-10 * max_diag
-    piv = np.arange(d)
-    rank = d
+    kept = []
     for k in range(d):
-        sub = np.diagonal(A)[k:]
-        j = k + int(np.argmax(sub))  # argmax takes the first max: lowest index
-        pivot = float(A[j, j])
-        if pivot < psd_floor:
+        pivot = float(A[k, k])
+        floor = -1e-10 * diag[k]
+        if pivot < floor:
             raise NotPositiveSemidefinite(
-                f"pivot {pivot:.6e} at step {k} (floor {psd_floor:.6e})"
+                f"pivot {pivot:.6e} of column {k} (floor {floor:.6e})"
             )
-        if pivot < threshold:
-            rank = k
-            break
-        if j != k:
-            A[[k, j], :] = A[[j, k], :]
-            A[:, [k, j]] = A[:, [j, k]]
-            piv[[k, j]] = piv[[j, k]]
+        if pivot <= rank_tol * diag[k]:
+            continue
+        kept.append(k)
         root = math.sqrt(pivot)
-        A[k, k] = root
         A[k + 1 :, k] /= root
         A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k + 1 :, k])
+    rank = len(kept)
     if rank == 0:
         raise DegenerateSystem(f"rank 0 at tolerance {rank_tol:g}")
-    # the factorization's job was rank detection and pivot order; the
-    # coefficients come from solving the kept subsystem of the original xtx
-    kept = [int(i) for i in piv[:rank]]
+    # the factorization's job was rank detection; the coefficients come
+    # from solving the kept subsystem of the original xtx
     sub = np.asarray(acc.xtx, dtype=np.float64)[np.ix_(kept, kept)]
     beta = np.linalg.solve(sub, np.asarray(acc.xty, dtype=np.float64)[kept])
     coef = {names[i]: float(beta[p]) for p, i in enumerate(kept)}
-    dropped = [names[int(i)] for i in piv[rank:]]
+    dropped = [names[i] for i in range(d) if i not in kept]
     return RegressionFit(coef, kept, rank, dropped, rank_tol)

@@ -1,26 +1,19 @@
-"""Throughput benchmarking: bulk-scan parsing vs a naive reference parser.
+"""Per-character reference parser: the test oracle for the bulk parser.
 
 The naive parser walks the input one byte at a time, extracts every field as
 its own bytes object, coerces it scalar-by-scalar, and appends row by row —
-the shape of a straightforward hand-rolled reader.  It exists for two
-reasons: it makes the bulk path's speedup measurable, and it cross-checks
-correctness, since both parsers must produce identical frames on any input
-(balanced quotes assumed when quoting is on).
+the shape of a straightforward hand-rolled reader.  The bulk path in
+``rowstream.frame`` must produce identical frames and reports on any input
+(balanced quotes assumed when quoting is on).  ``synthetic_csv`` generates
+deterministic mixed-type input for the differential and speed checks.
+
+A plain module, not collected by pytest; tests import it as ``oracle``.
 """
-
-from __future__ import annotations
-
-import statistics
-import time
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._coerce import ColumnType, parse_field_ex
-from .frame import Column, Frame, ParseReport, Schema, _enforce_strict, parse_frame
-
-__all__ = ["naive_parse_frame", "synthetic_csv", "run_bench", "BenchReport"]
+from rowstream._coerce import ColumnType, parse_field_ex
+from rowstream.frame import Column, Frame, ParseReport, Schema, _enforce_strict
 
 _FILL = {
     ColumnType.LOGICAL: False,
@@ -158,8 +151,6 @@ def naive_parse_frame(chunk: bytes, schema: Schema, skip_lines: int = 0,
 _WORDS = ("alder", "birch", "cedar", "fir", "hazel", "larch", "maple",
           "oak", "pine", "rowan", "spruce", "willow")
 
-SYNTHETIC_SCHEMA_LETTERS = "i,r,c,l"
-
 
 def synthetic_csv(n_bytes: int, seed: int = 0) -> bytes:
     """Deterministic mixed-type CSV of at least ``n_bytes`` (integer, real,
@@ -186,84 +177,3 @@ def synthetic_csv(n_bytes: int, seed: int = 0) -> bytes:
         pieces.append(block)
         total += len(block)
     return b"".join(pieces)
-
-
-@dataclass
-class BenchReport:
-    """Median timings for one benchmark run."""
-
-    n_bytes: int
-    trials: int
-    bulk_seconds: float
-    naive_seconds: float
-    raw_seconds: float
-    frames_match: bool
-
-    def _mbs(self, seconds: float) -> float:
-        return self.n_bytes / 1e6 / seconds if seconds > 0 else float("inf")
-
-    @property
-    def bulk_mbs(self) -> float:
-        return self._mbs(self.bulk_seconds)
-
-    @property
-    def naive_mbs(self) -> float:
-        return self._mbs(self.naive_seconds)
-
-    @property
-    def raw_mbs(self) -> float:
-        return self._mbs(self.raw_seconds)
-
-    @property
-    def speedup(self) -> float:
-        return self.naive_seconds / self.bulk_seconds
-
-    def render(self) -> str:
-        raw_ratio = (
-            self.bulk_seconds / self.raw_seconds if self.raw_seconds > 0
-            else float("inf")
-        )
-        lines = [
-            f"input: {self.n_bytes} bytes, {self.trials} trials (medians)",
-            f"bulk parse:  {self.bulk_mbs:8.1f} MB/s  ({self.bulk_seconds:.3f} s)",
-            f"naive parse: {self.naive_mbs:8.1f} MB/s  ({self.naive_seconds:.3f} s)",
-            f"raw read:    {self.raw_mbs:8.1f} MB/s  ({self.raw_seconds:.3f} s)",
-            f"bulk speedup over naive: {self.speedup:.2f}x",
-            f"raw-read speedup over bulk parse: {raw_ratio:.2f}x",
-            f"frames identical: {'yes' if self.frames_match else 'NO'}",
-        ]
-        return "\n".join(lines)
-
-
-def _median_time(fn, trials: int) -> float:
-    times = []
-    for _ in range(trials):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
-def run_bench(path, schema: Schema, trials: int = 5) -> BenchReport:
-    """Time bulk parse, naive parse, and raw reads of one file.
-
-    Parsers run on an in-memory copy so all three numbers isolate CPU cost;
-    the raw-read timing re-reads the file itself.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    last = {}
-
-    def bulk_once():
-        last["bulk"] = parse_frame(data, schema)
-
-    def naive_once():
-        last["naive"] = naive_parse_frame(data, schema)
-
-    bulk_s = _median_time(bulk_once, trials)
-    naive_s = _median_time(naive_once, trials)
-    raw_s = _median_time(lambda: path.read_bytes(), trials)
-    bulk_frame, bulk_report = last["bulk"]
-    naive_frame, naive_report = last["naive"]
-    match = bulk_frame == naive_frame and bulk_report == naive_report
-    return BenchReport(len(data), trials, bulk_s, naive_s, raw_s, match)

@@ -175,6 +175,27 @@ def test_mm_rejects_mismatched_existing_sidecar(tmp_path, capsysbinary):
     assert "different columns" in err
 
 
+def test_unfinished_checkpoint_is_refused(tmp_path, capsysbinary):
+    a = tmp_path / "a.csv"
+    a.write_bytes(b"2.0,5\n3.0,6\n4.0,7\n")
+    ckpt = tmp_path / "c.mm"
+    args = ["--response", "V1", "--numeric", "V2", "--schema", "r,i",
+            "--out", str(ckpt)]
+    code, _, _ = run(["mm", str(a), str(tmp_path / "missing.csv")] + args,
+                     capsysbinary)
+    assert code == 1
+    assert (tmp_path / "c.mm.partial").exists()
+    before = ckpt.read_bytes()
+    # a rerun would append a.csv's rows a second time
+    code, _, err = run(["mm", str(a)] + args, capsysbinary)
+    assert code == 1
+    assert "c.mm.partial" in err
+    assert ckpt.read_bytes() == before
+    code, out, err = run(["fit", str(ckpt), "--response", "V1"], capsysbinary)
+    assert code == 1
+    assert out == b"" and "c.mm.partial" in err
+
+
 def test_mm_unknown_levels_dropped_and_reported(tmp_path, capsysbinary):
     src = tmp_path / "lv.csv"
     src.write_bytes(b"1.0,a\n2.0,weird\n3.0,b\n")
@@ -285,37 +306,6 @@ def test_fit_chunk_count_respects_env(tmp_path, capsysbinary, monkeypatch):
     assert code == 0
     chunks = int(err.split("chunks: ")[1].split(",")[0])
     assert chunks > 1
-
-
-def test_bench_synthetic_smoke(capsysbinary):
-    code, out, _ = run(["bench", "--size-mb", "1", "--trials", "1"],
-                       capsysbinary)
-    assert code == 0
-    text = out.decode()
-    assert "bulk parse" in text and "naive parse" in text and "raw read" in text
-    assert "frames identical: yes" in text
-
-
-def test_bench_real_input(tmp_path, capsysbinary):
-    src = tmp_path / "real.csv"
-    src.write_bytes(b"".join(b"%d,%r\n" % (i, i / 3.0) for i in range(2000)))
-    code, out, _ = run(
-        ["bench", str(src), "--schema", "i,r", "--trials", "1"], capsysbinary
-    )
-    assert code == 0
-    assert b"frames identical: yes" in out
-
-
-def test_bench_argument_validation(tmp_path, capsysbinary):
-    code, _, err = run(["bench"], capsysbinary)
-    assert code == 1
-    src = tmp_path / "real.csv"
-    src.write_bytes(b"1\n")
-    code, _, err = run(["bench", str(src)], capsysbinary)
-    assert code == 1
-    assert "--schema is required" in err
-    code, _, _ = run(["bench", str(src), "--size-mb", "1"], capsysbinary)
-    assert code == 1
 
 
 def test_console_script_entry_point(tmp_path):

@@ -14,7 +14,6 @@ from rowstream import (
     concat_frames,
     frames_equal,
     infer_schema,
-    naive_parse_frame,
     parse_field,
     parse_frame,
     parse_frame_with_header,
@@ -22,7 +21,8 @@ from rowstream import (
     tokenize,
 )
 from rowstream._coerce import convert_column
-from rowstream.bench import _naive_split_fields
+
+from oracle import _naive_split_fields, naive_parse_frame
 
 L = ColumnType.LOGICAL
 I = ColumnType.INTEGER

@@ -20,12 +20,13 @@ from rowstream import (
     format_matrix,
     frames_equal,
     infer_schema,
-    naive_parse_frame,
     parse_frame,
     parse_matrix,
     tokenize,
 )
 from rowstream.cli import main
+
+from oracle import naive_parse_frame
 
 _CELLS = [b"1", b"2.5", b"NA", b"", b'"a,b"', b'"q""q"', b'"', b"\r",
           b"\x00", b"x", b"TRUE"]
@@ -76,11 +77,11 @@ _LAYOUT_USERS = {
 _BAD_LAYOUTS = [
     (user, sep, None)
     for user in _LAYOUT_USERS
-    for sep in (b"", b",,", b"\n")
+    for sep in (b"", b",,", b"\n", ",")
 ] + [
     (user, b",", quote)
     for user in ("Schema", "format_frame")
-    for quote in (b",", b"\n")
+    for quote in (b",", b"\n", '"')
 ]
 
 

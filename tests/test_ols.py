@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowstream import (
     DEFAULT_RANK_TOL,
@@ -254,3 +256,63 @@ def test_rank_tol_flag_changes_kept_set():
     tight = solve_ne(build(X, y), names, rank_tol=1e-14)
     assert loose.rank == 2 and loose.dropped == ["almost_a"]
     assert tight.rank == 3 and tight.dropped == []
+
+
+def test_large_magnitude_column_does_not_alias_the_intercept():
+    rng = np.random.default_rng(17)
+    n = 100_000
+    X = np.column_stack([
+        np.ones(n),
+        rng.integers(0, 2, n).astype(np.float64),
+        rng.normal(1000.0, 300.0, n),
+    ])
+    y = (X @ [2.0, -1.0, 0.5] + rng.normal(size=n)).reshape(-1, 1)
+    names = ["(Intercept)", "dummy", "big"]
+    fit = solve_ne(build(X, y), names)
+    assert fit.rank == 3 and fit.dropped == []
+    oracle, *_ = np.linalg.lstsq(X, y[:, 0], rcond=None)
+    got = np.array([fit.coef[name] for name in names])
+    assert rel_err(got, oracle) < 1e-8
+
+
+def test_aliased_columns_are_dropped_in_column_order():
+    rng = np.random.default_rng(29)
+    a, b = rng.normal(size=(2, 300))
+    X = np.column_stack([3.0 * a, b, a, 2.0 * b])
+    y = rng.normal(size=(300, 1))
+    fit = solve_ne(build(X, y), ["a3", "b", "a", "b2"])
+    assert fit.kept == [0, 1]
+    assert fit.dropped == ["a", "b2"]
+
+
+def _scaling_design():
+    rng = np.random.default_rng(43)
+    n = 2000
+    days = rng.integers(0, 4, n)
+    X = np.column_stack([
+        np.ones(n),
+        days == 1,
+        days == 2,
+        days == 3,
+        rng.normal(1000.0, 300.0, n),
+    ]).astype(np.float64)
+    y = X @ [5.0, 1.0, -2.0, 0.5, 0.01] + rng.normal(size=n)
+    return X, y.reshape(-1, 1)
+
+
+_SCALING_X, _SCALING_Y = _scaling_design()
+_SCALING_NAMES = ["(Intercept)", "d1", "d2", "d3", "big"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(column=st.integers(0, 4), power=st.integers(-6, 6))
+def test_rank_and_coefficients_follow_column_scale(column, power):
+    base = solve_ne(build(_SCALING_X, _SCALING_Y), _SCALING_NAMES)
+    scale = 10.0 ** power
+    X = _SCALING_X.copy()
+    X[:, column] *= scale
+    fit = solve_ne(build(X, _SCALING_Y), _SCALING_NAMES)
+    assert fit.kept == base.kept == [0, 1, 2, 3, 4]
+    for j, name in enumerate(_SCALING_NAMES):
+        expected = base.coef[name] / scale if j == column else base.coef[name]
+        assert fit.coef[name] == pytest.approx(expected, rel=1e-8)
