@@ -1,4 +1,6 @@
-"""Byte-field coercion shared by the frame and matrix parsers.
+"""Each column type's text spelling, in both directions: ``convert_column``
+reads byte fields and ``render_column`` writes cells that read back the same.
+The writer adds only the layout: guarding, quoting and joining.
 
 Each column type has two implementations: a vectorized one built on numpy's
 fixed-width bytes casts, and a per-field scalar one used when the vectorized
@@ -31,6 +33,9 @@ _FALSE_TOKENS = (b"FALSE", b"F")
 _TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
 _COMPLEX_NULL = complex(float("nan"), float("nan"))
+
+# the bytes of rendered non-text cells; a separator among them needs guarding
+NON_TEXT = frozenset(b"0123456789+-.eEinfa" + _TRUE_TOKENS[0] + _FALSE_TOKENS[0])
 
 
 class ColumnType(enum.Enum):
@@ -229,23 +234,16 @@ def convert_column(
     NaN, or NaN+NaNi.  ``quoted`` (one flag per field) suppresses null-token
     recognition for quoted fields; ``bulk=False`` forces the scalar path.
     """
-    if ctype is ColumnType.CHARACTER:
+    if ctype is ColumnType.CHARACTER or ctype is ColumnType.BYTES:
+        text = ctype is ColumnType.CHARACTER
         values = []
         mask = np.zeros(len(fields), dtype=np.bool_)
         for i, field in enumerate(fields):
             if (quoted is None or not quoted[i]) and is_null_token(field):
                 values.append(None)
                 mask[i] = True
-            else:
+            elif text:
                 values.append(field.decode("utf-8", "surrogateescape"))
-        return values, mask, 0
-    if ctype is ColumnType.BYTES:
-        values = []
-        mask = np.zeros(len(fields), dtype=np.bool_)
-        for i, field in enumerate(fields):
-            if (quoted is None or not quoted[i]) and is_null_token(field):
-                values.append(None)
-                mask[i] = True
             else:
                 values.append(bytes(field))
         return values, mask, 0
@@ -263,3 +261,40 @@ def convert_column(
             if out is not None:
                 return out
     return _column_slow(fields, ctype, quoted)
+
+
+def _render_real(v: float) -> bytes:
+    # the shortest decimal that parses back to the same double
+    return repr(v).encode("ascii")
+
+
+def _render_complex(v: complex) -> bytes:
+    im = _render_real(v.imag)
+    return _render_real(v.real) + (im if im[:1] == b"-" else b"+" + im) + b"i"
+
+
+def _render_text(v) -> bytes:
+    return v.encode("utf-8", "surrogateescape") if isinstance(v, str) else bytes(v)
+
+
+_RENDER = {
+    ColumnType.LOGICAL: lambda v: _TRUE_TOKENS[0] if v else _FALSE_TOKENS[0],
+    ColumnType.INTEGER: lambda v: b"%d" % v,
+    ColumnType.REAL: _render_real,
+    ColumnType.CHARACTER: _render_text,
+    ColumnType.BYTES: _render_text,
+    ColumnType.COMPLEX: _render_complex,
+    ColumnType.TIMESTAMP: _render_real,
+}
+
+
+def render_column(values, mask: np.ndarray, ctype: ColumnType) -> list:
+    """Render a column as one bytes cell per slot: the inverse of
+    :func:`convert_column`.  Masked slots render as ``NA``; every other cell
+    parses back to its value (floats bit for bit)."""
+    render = _RENDER[ctype]
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # Python scalars render faster than numpy's
+    if mask.any():
+        return [b"NA" if m else render(v) for v, m in zip(values, mask.tolist())]
+    return list(map(render, values))

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 from .chunker import (
     ChunkerConfig,
     _raw_chunks,
-    _scan_for_sep,
+    adjust_split,
     byte_range_splits,
     iter_chunks,
 )
@@ -146,13 +146,7 @@ def _split_worker(path, win_lo, win_hi, cfg: ChunkerConfig, f):
     w1 = win_hi * target
     results = []
     with open(path, "rb") as stream:
-        if w0 == 0:
-            start = 0
-        else:
-            at = _scan_for_sep(stream, w0 - 1)
-            if at == -1:
-                return "ok", results
-            start = at + 1
+        start, _ = adjust_split(stream, w0, 0)
         stream.seek(start)
         for i, data in enumerate(_raw_chunks(stream, cfg, start, w1)):
             try:

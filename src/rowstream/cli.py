@@ -254,8 +254,6 @@ def cmd_mm(args) -> int:
                 f"existing sidecar for {out} lists different columns; "
                 "refusing to append a mismatched matrix"
             )
-    marker.touch()
-    write_sidecar(out, names)
     err = sys.stderr
     with open(out, "ab") as sink:
         for path in args.inputs:
@@ -268,7 +266,10 @@ def cmd_mm(args) -> int:
                 matrix, xreport = expand(frame, spec, lenient_levels=True)
                 if matrix.col_names != names:
                     raise SchemaError("checkpoint columns changed mid-stream")
-                append_to_checkpoint(sink, format_matrix(matrix, b","))
+                data = format_matrix(matrix, b",")
+                if not marker.exists():
+                    marker.touch()  # unfinished only once the data changes
+                append_to_checkpoint(sink, data)
                 n_input += xreport.n_input
                 n_rows += xreport.n_rows
                 n_null += xreport.n_dropped_null
@@ -278,7 +279,8 @@ def cmd_mm(args) -> int:
                 f"{n_null} dropped (null), {n_unknown} dropped (unknown level)",
                 file=err,
             )
-    marker.unlink()
+    write_sidecar(out, names)
+    marker.unlink(missing_ok=True)
     return EXIT_OK
 
 

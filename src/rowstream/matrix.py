@@ -26,15 +26,6 @@ MATRIX_TYPES = (
     ColumnType.COMPLEX,
 )
 
-_DTYPES = {
-    ColumnType.LOGICAL: np.bool_,
-    ColumnType.INTEGER: np.int64,
-    ColumnType.REAL: np.float64,
-    ColumnType.CHARACTER: object,
-    ColumnType.COMPLEX: np.complex128,
-}
-
-
 @dataclass
 class DenseMatrix:
     """A 2-D homogeneous matrix with optional row/column names.
@@ -90,16 +81,14 @@ def parse_matrix(
     if elem_type not in MATRIX_TYPES:
         raise SchemaError(f"matrices cannot hold {elem_type.value} elements")
     rows, _, _ = tokenize(chunk, field_sep, skip=skip_lines)
-    if not rows:
-        return DenseMatrix(np.empty((0, 0), dtype=_DTYPES[elem_type])), 0
-    arity = len(rows[0])
+    arity = len(rows[0]) if rows else 0
     for i, row in enumerate(rows):
         if len(row) != arity:
             raise RaggedInput(
                 f"record {i} has {len(row)} fields, record 0 has {arity}"
             )
     row_names = None
-    if row_names_col:
+    if row_names_col and rows:
         row_names = [r[0].decode("utf-8", "surrogateescape") for r in rows]
         rows = [r[1:] for r in rows]
         arity -= 1

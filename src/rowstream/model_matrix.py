@@ -211,10 +211,8 @@ def expand(frame: Frame, spec: TermSpec, lenient_levels: bool = False):
     keep = ~(drop_null | unknown)
     kept = np.flatnonzero(keep)
     m = len(kept)
-    width = int(spec.intercept) + 1 + sum(
-        1 if isinstance(t, NumericTerm) else len(t.levels) - 1 for t in spec.terms
-    )
-    X = np.zeros((m, width), dtype=np.float64)
+    names = spec_names(spec)
+    X = np.zeros((m, len(names)), dtype=np.float64)
     pos = 0
     if spec.intercept:
         X[:, 0] = 1.0
@@ -236,4 +234,4 @@ def expand(frame: Frame, spec: TermSpec, lenient_levels: bool = False):
         n_dropped_null=int(drop_null.sum()),
         n_dropped_unknown=int(unknown.sum()),
     )
-    return DenseMatrix(X, col_names=spec_names(spec)), report
+    return DenseMatrix(X, col_names=names), report

@@ -196,6 +196,28 @@ def test_unfinished_checkpoint_is_refused(tmp_path, capsysbinary):
     assert out == b"" and "c.mm.partial" in err
 
 
+def test_failed_mm_that_appended_nothing_allows_rerun(tmp_path, capsysbinary):
+    a = tmp_path / "a.csv"
+    a.write_bytes(b"2.0,5\n3.0,6\n4.0,7\n")
+    ckpt = tmp_path / "c.mm"
+    marker = tmp_path / "c.mm.partial"
+    args = ["--response", "V1", "--schema", "r,i", "--out", str(ckpt)]
+    code, _, _ = run(["mm", str(tmp_path / "missing.csv"), "--numeric", "V2"]
+                     + args, capsysbinary)
+    assert code == 1
+    assert not marker.exists()
+    code, _, _ = run(["mm", str(a), "--numeric", "nosuch"] + args, capsysbinary)
+    assert code == 1
+    assert not marker.exists()
+    assert not (tmp_path / "c.mm.names").exists()
+    code, _, _ = run(["mm", str(a), "--numeric", "V2"] + args, capsysbinary)
+    assert code == 0
+    assert not marker.exists()
+    code, _, err = run(["fit", str(ckpt), "--response", "V1"], capsysbinary)
+    assert code == 0
+    assert "rows: 3," in err
+
+
 def test_mm_unknown_levels_dropped_and_reported(tmp_path, capsysbinary):
     src = tmp_path / "lv.csv"
     src.write_bytes(b"1.0,a\n2.0,weird\n3.0,b\n")

@@ -37,6 +37,13 @@ def test_empty_chunk_gives_0x0():
     m, failures = parse_matrix(b"", REAL)
     assert m.values.shape == (0, 0)
     assert failures == 0
+    dtypes = {ColumnType.LOGICAL: np.bool_, ColumnType.INTEGER: np.int64,
+              ColumnType.REAL: np.float64, ColumnType.CHARACTER: object,
+              ColumnType.COMPLEX: np.complex128}
+    for elem_type, dtype in dtypes.items():
+        m, _ = parse_matrix(b"", elem_type, row_names_col=True)
+        assert m.values.shape == (0, 0) and m.values.dtype == dtype
+        assert m.row_names is None
 
 
 def test_bad_cell_is_nan_plus_count():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowstream import (
     Column,
@@ -15,7 +17,7 @@ from rowstream import (
     sidecar_path,
     write_sidecar,
 )
-from conftest import random_frame, roundtrip
+from conftest import INT64_MAX, INT64_MIN, random_frame, roundtrip
 
 
 def int_column(name, values, mask=None):
@@ -89,6 +91,15 @@ def test_numeric_separator_collision():
         format_frame(Frame([col]), field_sep=b"e")
     quoted = format_frame(Frame([col]), field_sep=b"e", quote=b'"')
     assert quoted == b'"1e-05"\n'
+    flag = Column("f", ColumnType.LOGICAL, np.array([True]), np.zeros(1, dtype=bool))
+    # 'T' appears inside the rendered "TRUE"
+    with pytest.raises(SeparatorCollision):
+        format_frame(Frame([flag]), field_sep=b"T")
+    # format_matrix guards the same cells
+    with pytest.raises(SeparatorCollision):
+        format_matrix(DenseMatrix(np.array([[1e-5, 2.0]])), b"e")
+    with pytest.raises(SeparatorCollision):
+        format_matrix(DenseMatrix(np.array([[-3, 4]])), b"-")
 
 
 def test_format_matrix_basic():
@@ -96,6 +107,7 @@ def test_format_matrix_basic():
     assert format_matrix(m) == b"1.0,2.0\n3.0,4.0\n"
     empty = DenseMatrix(np.empty((0, 0)))
     assert format_matrix(empty) == b""
+    assert format_matrix(DenseMatrix(np.empty((3, 0)))) == b""
 
 
 def test_format_matrix_object_cells():
@@ -104,6 +116,57 @@ def test_format_matrix_object_cells():
     bad = DenseMatrix(np.array([["x,y"]], dtype=object))
     with pytest.raises(SeparatorCollision):
         format_matrix(bad)
+    # a trailing CR is misread only at the end of a record
+    m = DenseMatrix(np.array([["x\r", "y"]], dtype=object))
+    assert format_matrix(m) == b"x\r,y\n"
+
+
+_ELEMENTS = {
+    ColumnType.LOGICAL: (st.booleans(), np.bool_),
+    ColumnType.INTEGER: (st.integers(INT64_MIN, INT64_MAX), np.int64),
+    # NaN is left out: "nan" does not keep the sign bit
+    ColumnType.REAL: (st.floats(allow_nan=False), np.float64),
+    ColumnType.COMPLEX: (st.complex_numbers(allow_nan=False), np.complex128),
+    ColumnType.CHARACTER: (
+        st.none() | st.text(st.sampled_from("xyNA \u00e9\r\n,e-")
+                            | st.characters(exclude_categories=("Cs",)),
+                            max_size=3),
+        object,
+    ),
+}
+
+
+@st.composite
+def typed_matrices(draw):
+    ctype = draw(st.sampled_from(list(_ELEMENTS)))
+    element, dtype = _ELEMENTS[ctype]
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    values = np.empty((n_rows, n_cols), dtype=dtype)
+    for i in range(n_rows):
+        for j in range(n_cols):
+            values[i, j] = draw(element)
+    return ctype, values
+
+
+def _bits(values):
+    if values.dtype.kind in "fc":
+        return values.view(np.uint64)
+    return values
+
+
+@settings(max_examples=400, deadline=None)
+@given(typed_matrices(), st.sampled_from(list(b",|\te-.in1+aTF")))
+def test_format_matrix_collides_or_roundtrips(typed, sep):
+    ctype, values = typed
+    sep = bytes([sep])
+    try:
+        text = format_matrix(DenseMatrix(values), sep)
+    except SeparatorCollision:
+        return
+    back, failures = parse_matrix(text, ctype, field_sep=sep)
+    assert failures == 0
+    assert back.values.shape == values.shape
+    assert np.array_equal(_bits(back.values), _bits(values))
 
 
 def test_matrix_roundtrip_bit_exact():
@@ -132,6 +195,10 @@ def test_sidecar_roundtrip(tmp_path):
     assert read_sidecar(ckpt) == ["(Intercept)", "y", "x"]
     with pytest.raises(SeparatorCollision):
         write_sidecar(ckpt, ["bad\nname"])
+    # only LF ends a name: other line breaks are part of it
+    odd = ["c=A,B\rC", "next\x85line", "para\u2028sep", "y"]
+    write_sidecar(ckpt, odd)
+    assert read_sidecar(ckpt) == odd
 
 
 def test_header_cells_are_guarded():
