@@ -5,6 +5,11 @@ coefficient tables) goes to standard output or the --out path, so commands
 compose in pipelines.  Exit codes: 0 success, 1 input or format error,
 2 verification failure (--strict violations).  The environment variable
 CHUNK_TARGET_BYTES overrides the default chunk size.
+
+``mm`` converts only the response and term columns: every other column is
+skipped once the schema is resolved, so its cells cost only tokenizing and,
+as before, never affect the checkpoint.  ``parse --out PATH`` replaces PATH
+only when the parse succeeds.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -37,6 +43,7 @@ from .frame import (
     infer_schema,
     parse_frame,
     parse_frame_with_header,
+    tokenize,
 )
 from .matrix import parse_matrix
 from .model_matrix import (
@@ -112,12 +119,39 @@ def _default_chunker() -> ChunkerConfig:
     return ChunkerConfig()
 
 
-def _parse_stream(path, schema_arg, sep, header, skip, strict, cfg):
+def _project(schema: Schema, data: bytes, header: bool, keep) -> Schema:
+    """Set every column whose name is not in ``keep`` to SKIP, so the parser
+    never converts it.  Names come from the header record of ``data``, or
+    are the unprojected schema's V1, V2, ... so that none is renumbered.  A
+    header whose arity differs from the schema's leaves the schema whole, for
+    the parser to report."""
+    if header:
+        fields = tokenize(data, schema.field_sep, limit=1)[0][0]
+        names = [f.decode("utf-8", "surrogateescape") for f in fields]
+        if len(names) != len(schema.types):
+            return schema
+    else:
+        out = iter(schema.out_names())
+        names = [None if t is ColumnType.SKIP else next(out)
+                 for t in schema.types]
+    kept = [t is not ColumnType.SKIP and n in keep
+            for t, n in zip(schema.types, names)]
+    return replace(
+        schema,
+        types=tuple(t if k else ColumnType.SKIP
+                    for t, k in zip(schema.types, kept)),
+        names=tuple(n for n, k in zip(names, kept) if k),
+    )
+
+
+def _parse_stream(path, schema_arg, sep, header, skip, strict, cfg,
+                  columns=None):
     """Stream a file as parsed frames: yields (schema, frame, report).
 
     The first data-bearing chunk resolves the schema — skipping leading
     records, consuming the header, and running inference when asked — and
-    later chunks reuse it.
+    later chunks reuse it.  With ``columns``, a set of names, the resolved
+    schema is projected onto them (see :func:`_project`).
     """
     remaining_skip = skip
     schema = None
@@ -143,12 +177,42 @@ def _parse_stream(path, schema_arg, sep, header, skip, strict, cfg):
         else:
             types = _parse_types(schema_arg)
         schema = Schema(types, field_sep=sep)
+        if columns is not None:
+            schema = _project(schema, data, header, columns)
         if header:
             frame, report = parse_frame_with_header(data, schema, strict=strict)
         else:
             frame, report = parse_frame(data, schema, strict=strict)
         schema = replace(schema, names=tuple(frame.names))
         yield schema, frame, report
+
+
+@contextmanager
+def _output(path: str):
+    """Yield a binary sink for ``path``, standard output for ``-``.
+
+    A regular file is written to a temporary sibling that replaces it only
+    when the block succeeds, so a failed run leaves ``path`` as it was.  A
+    path that exists but is not a regular file, such as a device or a pipe,
+    is written in place.
+    """
+    if path == "-":
+        yield sys.stdout.buffer
+        return
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as sink:
+            yield sink
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    sink = open(tmp, "xb")
+    try:
+        with sink:
+            yield sink
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_parse(args) -> int:
@@ -159,8 +223,7 @@ def cmd_parse(args) -> int:
     total = ParseReport()
     schema = None
     first = True
-    sink = sys.stdout.buffer if args.out == "-" else open(args.out, "wb")
-    try:
+    with _output(args.out) as sink:
         for schema, frame, report in _parse_stream(
             args.input, args.schema, sep, args.header, args.skip,
             args.strict, cfg,
@@ -171,9 +234,6 @@ def cmd_parse(args) -> int:
             first = False
             total = total.merge(report)
         sink.flush()
-    finally:
-        if sink is not sys.stdout.buffer:
-            sink.close()
     elapsed = time.perf_counter() - started
     err = sys.stderr
     if args.schema == "infer" and schema is not None:
@@ -246,6 +306,7 @@ def cmd_mm(args) -> int:
         )
     spec = TermSpec(response=args.response, terms=tuple(terms))
     names = spec_names(spec)
+    used = {spec.response, *(term.column for term in spec.terms)}
     out = Path(args.out)
     if sidecar_path(out).exists():
         existing = read_sidecar(out)
@@ -259,7 +320,8 @@ def cmd_mm(args) -> int:
         for path in args.inputs:
             n_input = n_rows = n_null = n_unknown = 0
             for _, frame, _report in _parse_stream(
-                path, args.schema, sep, args.header, args.skip, False, cfg
+                path, args.schema, sep, args.header, args.skip, False, cfg,
+                used,
             ):
                 for column in hhmm_cols:
                     frame = normalize_hhmm_column(frame, column)

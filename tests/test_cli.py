@@ -42,6 +42,33 @@ def test_parse_to_file_and_reparse(tmp_path, capsysbinary):
     assert again.read_bytes() == first
 
 
+def test_failed_parse_leaves_out_path_as_it_was(tmp_path, capsysbinary):
+    src = tmp_path / "cr.csv"
+    src.write_bytes(b"a,b\nx,y\r\r\n")  # one CR stays in the last cell
+    dst = tmp_path / "o.csv"
+    args = ["parse", str(src), "--header", "--schema", "c,c", "--out", str(dst)]
+    code, _, err = run(args, capsysbinary)
+    assert code == 1 and "needs quoting" in err
+    assert not dst.exists()
+    dst.write_bytes(b"keep\n")
+    code, _, _ = run(args, capsysbinary)
+    assert code == 1
+    assert dst.read_bytes() == b"keep\n"
+    src.write_bytes(b"a,b\nx,y\n")
+    code, _, _ = run(args, capsysbinary)
+    assert code == 0
+    assert dst.read_bytes() == b"a,b\nx,y\n"
+    # a symlink is written through, not replaced
+    link = tmp_path / "link.csv"
+    link.symlink_to(dst)
+    src.write_bytes(b"p,q\n")
+    code, _, _ = run(args[:-1] + [str(link)], capsysbinary)
+    assert code == 0
+    assert link.is_symlink() and dst.read_bytes() == b"p,q\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cr.csv", "link.csv", "o.csv"]
+
+
 def test_parse_infer_reports_types(tmp_path, capsysbinary):
     src = tmp_path / "b.csv"
     src.write_bytes(b"n,f\n1,1.5\n2,2.5\n")

@@ -8,6 +8,7 @@ from rowstream import (
     ColumnType,
     DenseMatrix,
     Frame,
+    OutOfRange,
     SeparatorCollision,
     format_frame,
     format_matrix,
@@ -167,6 +168,20 @@ def test_format_matrix_collides_or_roundtrips(typed, sep):
     assert failures == 0
     assert back.values.shape == values.shape
     assert np.array_equal(_bits(back.values), _bits(values))
+
+
+def test_format_matrix_uint64_beyond_int64_is_out_of_range():
+    # such a cell would read back as 0 with one coercion failure
+    for big in (2**63, 2**64 - 1):
+        m = DenseMatrix(np.array([[1, big]], dtype=np.uint64))
+        with pytest.raises(OutOfRange):
+            format_matrix(m)
+    values = np.array([[0, 1], [INT64_MAX, 2**32]], dtype=np.uint64)
+    text = format_matrix(DenseMatrix(values))
+    assert text == b"0,1\n9223372036854775807,4294967296\n"
+    back, failures = parse_matrix(text, ColumnType.INTEGER)
+    assert failures == 0
+    assert back.values.tolist() == values.tolist()
 
 
 def test_matrix_roundtrip_bit_exact():
