@@ -10,14 +10,7 @@ splits.  The ``rowstream`` console script fronts the common paths.
 
 from ._coerce import ColumnType
 from .apply import ApplyConfig, chunk_apply
-from .chunker import (
-    Chunk,
-    ChunkerConfig,
-    adjust_split,
-    byte_range_splits,
-    iter_chunks,
-    next_chunk,
-)
+from .chunker import Chunk, ChunkerConfig, iter_chunks
 from .errors import (
     DegenerateSystem,
     DimensionMismatch,
@@ -45,7 +38,6 @@ from .frame import (
     concat_frames,
     frames_equal,
     infer_schema,
-    parse_field,
     parse_frame,
     parse_frame_with_header,
     split_quoted,
@@ -115,9 +107,7 @@ __all__ = [
     "UnknownLevel",
     "WorkerFailure",
     "accumulate",
-    "adjust_split",
     "append_to_checkpoint",
-    "byte_range_splits",
     "check_layout",
     "chunk_apply",
     "concat_frames",
@@ -128,10 +118,8 @@ __all__ = [
     "infer_schema",
     "iter_chunks",
     "merge",
-    "next_chunk",
     "normalize_hhmm",
     "normalize_hhmm_column",
-    "parse_field",
     "parse_frame",
     "parse_frame_with_header",
     "parse_matrix",

@@ -6,8 +6,11 @@ prefetches one chunk ahead while up to ``parallel`` workers compute), and
 are identical in every mode — see chunker — so for a pure ``f`` the three
 modes return element-wise identical result lists, in chunk order.
 
-The function receives the chunk's bytes.  With a process executor (the
-default) it must be picklable: a module-level function or functools.partial.
+The function receives the chunk's bytes.  The pooled modes run it in worker
+processes, so it must be picklable: a module-level function or
+functools.partial.  A pool never has more workers than the input has windows
+when the input's size is known: bytes, or a regular file given by path or by
+an open handle.  Split mode needs such a file.
 
 An optional ``on_event`` callback observes the master's scheduling actions as
 ``(kind, seq)`` pairs, kinds ``read_start``/``read_end``/``dispatch``/
@@ -20,18 +23,12 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from .chunker import (
-    ChunkerConfig,
-    _raw_chunks,
-    adjust_split,
-    byte_range_splits,
-    iter_chunks,
-)
+from .chunker import ChunkerConfig, _raw_chunks, iter_chunks
 from .errors import NotSeekable, WorkerFailure
 
 __all__ = ["MODES", "ApplyConfig", "chunk_apply", "iter_chunks"]
@@ -44,28 +41,41 @@ class ApplyConfig:
     """Execution strategy for chunk_apply.
 
     ``parallel`` bounds in-flight computations; pipeline with parallel=1
-    degenerates to sequential plus a one-chunk prefetch.  ``executor``
-    selects process (default) or thread workers.
+    degenerates to sequential plus a one-chunk prefetch.
     """
 
     mode: str = "sequential"
     parallel: int = 1
     chunker: ChunkerConfig = field(default_factory=ChunkerConfig)
-    executor: str = "process"
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.parallel < 1:
             raise ValueError("parallel must be >= 1")
-        if self.executor not in ("process", "thread"):
-            raise ValueError("executor must be 'process' or 'thread'")
 
 
-def _make_executor(kind: str, workers: int):
-    if kind == "thread":
-        return ThreadPoolExecutor(max_workers=workers)
-    return ProcessPoolExecutor(max_workers=workers)
+def _source_path(source):
+    """The regular file ``source`` names or reads, or None: a pipe or a
+    device has no size to divide into windows."""
+    if not isinstance(source, (str, Path)):
+        source = getattr(source, "name", None)
+        if not isinstance(source, str):
+            return None
+    return os.fspath(source) if os.path.isfile(source) else None
+
+
+def _pool_size(source, cfg: ApplyConfig) -> int:
+    """``parallel``, but no more than the windows of a source of known size:
+    every chunk spans at least one window, so more workers would sit idle."""
+    if isinstance(source, (bytes, bytearray)):
+        size = len(source)
+    else:
+        path = _source_path(source)
+        if path is None:
+            return cfg.parallel
+        size = os.path.getsize(path)
+    return max(1, min(cfg.parallel, -(-size // cfg.chunker.target_bytes)))
 
 
 def _event_chunks(source, cfg: ChunkerConfig, on_event):
@@ -101,7 +111,7 @@ def _run_sequential(source, f, cfg: ApplyConfig, on_event) -> list:
 def _run_pipeline(source, f, cfg: ApplyConfig, on_event) -> list:
     results = []
     chunks = _event_chunks(source, cfg.chunker, on_event)
-    with _make_executor(cfg.executor, cfg.parallel) as pool:
+    with ProcessPoolExecutor(max_workers=_pool_size(source, cfg)) as pool:
         inflight = deque()
 
         def dispatch(chunk):
@@ -142,13 +152,10 @@ def _run_pipeline(source, f, cfg: ApplyConfig, on_event) -> list:
 
 def _split_worker(path, win_lo, win_hi, cfg: ChunkerConfig, f):
     target = cfg.target_bytes
-    w0 = win_lo * target
-    w1 = win_hi * target
     results = []
     with open(path, "rb") as stream:
-        start, _ = adjust_split(stream, w0, 0)
-        stream.seek(start)
-        for i, data in enumerate(_raw_chunks(stream, cfg, start, w1)):
+        chunks = _raw_chunks(stream, cfg, win_lo * target, win_hi * target)
+        for i, data in enumerate(chunks):
             try:
                 results.append(f(data))
             except Exception as exc:
@@ -157,25 +164,21 @@ def _split_worker(path, win_lo, win_hi, cfg: ChunkerConfig, f):
 
 
 def _run_split(source, f, cfg: ApplyConfig) -> list:
-    if isinstance(source, (str, Path)):
-        path = os.fspath(source)
-    else:
-        path = getattr(source, "name", None)
-        if not isinstance(path, str) or not os.path.exists(path):
-            raise NotSeekable(
-                "split mode reads byte ranges by path; pass a file path"
-            )
-    size = os.path.getsize(path)
-    if size == 0:
+    path = _source_path(source)
+    if path is None:
+        raise NotSeekable(
+            f"split mode reads byte ranges of a regular file; got {source!r}"
+        )
+    n_windows = -(-os.path.getsize(path) // cfg.chunker.target_bytes)
+    if n_windows == 0:
         return []
-    n_windows = -(-size // cfg.chunker.target_bytes)
-    n_workers = min(cfg.parallel, n_windows)
-    parts = byte_range_splits(n_windows, n_workers)
-    with _make_executor(cfg.executor, n_workers) as pool:
+    n_workers = _pool_size(path, cfg)
+    per, extra = divmod(n_windows, n_workers)
+    edges = [i * per + min(i, extra) for i in range(n_workers + 1)]
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
         futures = [
-            pool.submit(_split_worker, path, lo, lo + span, cfg.chunker, f)
-            for lo, span in parts
-            if span > 0
+            pool.submit(_split_worker, path, lo, hi, cfg.chunker, f)
+            for lo, hi in zip(edges, edges[1:])
         ]
         outcomes = [future.result() for future in futures]
     results = []

@@ -34,7 +34,6 @@ __all__ = [
     "Column",
     "Frame",
     "ParseReport",
-    "parse_field",
     "parse_frame",
     "parse_frame_with_header",
     "infer_schema",
@@ -171,12 +170,6 @@ class ParseReport:
             self.long_rows + other.long_rows,
             failures,
         )
-
-
-def parse_field(field_bytes: bytes, ctype: ColumnType):
-    """Coerce a single raw field; ``None`` for nulls and malformed input."""
-    value, _ = parse_field_ex(field_bytes, ctype)
-    return value
 
 
 def check_layout(field_sep: bytes, quote: bytes | None = None) -> None:

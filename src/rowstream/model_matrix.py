@@ -171,7 +171,8 @@ def expand(frame: Frame, spec: TermSpec, lenient_levels: bool = False):
     Output columns: ``(Intercept)`` (when requested), the response, then each
     term in spec order — numeric terms as-is, factor terms as treatment-coded
     indicators named column+level for levels after the baseline.  Rows with a
-    null in any used column are dropped (listwise), with the count reported.
+    null in any used column are dropped (listwise), with the count reported;
+    a NaN or infinite response or numeric-term value counts as null.
     A factor cell outside its level list raises UnknownLevel, or with
     ``lenient_levels`` drops the row and counts it separately.  Returns
     ``(matrix, report)``.
@@ -179,12 +180,14 @@ def expand(frame: Frame, spec: TermSpec, lenient_levels: bool = False):
     n = frame.n_rows
     resp = frame.column(spec.response)
     resp_values = _numeric_values(resp, "response")
-    drop_null = resp.mask.copy()
+    drop_null = resp.mask | ~np.isfinite(resp_values)
     term_cols = []
     for term in spec.terms:
         col = frame.column(term.column)
         if isinstance(term, NumericTerm):
-            term_cols.append((term, _numeric_values(col, "numeric term"), None))
+            values = _numeric_values(col, "numeric term")
+            drop_null |= ~np.isfinite(values)
+            term_cols.append((term, values, None))
         elif isinstance(term, FactorTerm):
             index = {level: i for i, level in enumerate(term.levels)}
             keys = _factor_keys(col)

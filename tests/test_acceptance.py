@@ -252,7 +252,7 @@ def test_07_pipeline_scheduling_and_speedup(tmp_path):
     for parallel in (1, 2, 4):
         events = []
         cfg = ApplyConfig(mode="pipeline", parallel=parallel,
-                          chunker=cfg_chunks, executor="thread")
+                          chunker=cfg_chunks)
         chunk_apply(path, _sleepy_sum, cfg,
                     on_event=lambda kind, seq: events.append((kind, seq)))
         reads_open = in_flight = 0
@@ -276,15 +276,14 @@ def test_07_pipeline_scheduling_and_speedup(tmp_path):
 
     # Wall-time: overlapping compute must beat strictly serial compute.  With
     # four real cores the process pool demonstrates it on actual arithmetic;
-    # on smaller machines a sleeping thread worker stands in for compute so
-    # the overlap itself is still measured.
+    # on smaller machines a sleeping worker stands in for compute so the
+    # overlap itself is still measured.
     if (os.cpu_count() or 1) >= 4:
-        worker, executor = _busy_xtx, "process"
+        worker, kind = _busy_xtx, "arithmetic"
     else:
-        worker, executor = _sleepy_sum, "thread"
+        worker, kind = _sleepy_sum, "sleeping"
     seq_cfg = ApplyConfig(mode="sequential", chunker=cfg_chunks)
-    par_cfg = ApplyConfig(mode="pipeline", parallel=4, chunker=cfg_chunks,
-                          executor=executor)
+    par_cfg = ApplyConfig(mode="pipeline", parallel=4, chunker=cfg_chunks)
     t_seq = time.monotonic()
     expected = chunk_apply(path, worker, seq_cfg)
     t_seq = time.monotonic() - t_seq
@@ -297,7 +296,7 @@ def test_07_pipeline_scheduling_and_speedup(tmp_path):
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     print(f"PASS 7: scheduling contract holds; pipeline(4) ran at "
-          f"{ratio:.2f}x sequential wall time ({executor} executor)")
+          f"{ratio:.2f}x sequential wall time ({kind} worker)")
 
 
 def test_08_expansion_matches_one_hot_oracle():

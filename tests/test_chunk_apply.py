@@ -2,21 +2,24 @@ import hashlib
 import io
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import rowstream.apply
 from rowstream import (
     ApplyConfig,
     ChunkerConfig,
     ColumnType,
     NotSeekable,
+    RecordTooLarge,
     WorkerFailure,
     chunk_apply,
     parse_matrix,
 )
 
-# worker functions live at module level so the process executor can pickle them
+# worker functions live at module level so the process pool can pickle them
 
 
 def count_records(data: bytes) -> int:
@@ -48,12 +51,11 @@ def sleepy_reverse(data: bytes) -> int:
     return len(data)
 
 
-def cfg(mode, parallel=1, target=32, executor="process"):
+def cfg(mode, parallel=1, target=32):
     return ApplyConfig(
         mode=mode,
         parallel=parallel,
         chunker=ChunkerConfig(target_bytes=target),
-        executor=executor,
     )
 
 
@@ -91,8 +93,8 @@ def test_mode_equivalence(tmp_path):
         chunk_apply(path, digest, cfg("pipeline", 2, 128)),
         chunk_apply(path, digest, cfg("pipeline", 8, 128)),
         chunk_apply(path, digest, cfg("split", 8, 128)),
-        chunk_apply(path, digest, cfg("pipeline", 4, 128, executor="thread")),
-        chunk_apply(path, digest, cfg("split", 3, 128, executor="thread")),
+        chunk_apply(path, digest, cfg("pipeline", 4, 128)),
+        chunk_apply(path, digest, cfg("split", 3, 128)),
     ]
     for run in runs[1:]:
         assert run == runs[0]
@@ -115,9 +117,7 @@ def test_results_ordered_despite_completion_order(tmp_path):
     path = tmp_path / "ord.txt"
     records = [b"%d%s\n" % (i, b"a" * (i + 1)) for i in range(4)]
     path.write_bytes(b"".join(records))
-    got = chunk_apply(
-        path, sleepy_reverse, cfg("pipeline", 4, 2, executor="thread")
-    )
+    got = chunk_apply(path, sleepy_reverse, cfg("pipeline", 4, 2))
     assert got == [len(r) for r in records]
 
 
@@ -152,7 +152,7 @@ def test_pipeline_event_log_exact_unfolding(tmp_path):
     chunk_apply(
         path,
         count_records,
-        cfg("pipeline", 2, target=2, executor="thread"),
+        cfg("pipeline", 2, target=2),
         on_event=lambda kind, seq: events.append((kind, seq)),
     )
     assert events == [
@@ -200,7 +200,7 @@ def test_pipeline_contract_holds(tmp_path, parallel):
 
     chunk_apply(
         path, count_records,
-        cfg("pipeline", parallel, target=25, executor="thread"),
+        cfg("pipeline", parallel, target=25),
         on_event=watch,
     )
     assert threads == {master}  # only the master reads and schedules
@@ -224,9 +224,14 @@ def test_sequential_event_log(tmp_path):
     ]
 
 
-def test_split_needs_a_real_file():
+def test_split_needs_a_real_file(tmp_path):
     with pytest.raises(NotSeekable):
         chunk_apply(io.BytesIO(b"a\nb\n"), count_records, cfg("split", 2))
+    # a device reports size 0, which must not read as an empty file
+    with pytest.raises(NotSeekable):
+        chunk_apply("/dev/zero", count_records, cfg("split", 2))
+    with pytest.raises(NotSeekable):
+        chunk_apply(tmp_path / "missing.txt", count_records, cfg("split", 2))
 
 
 def test_split_accepts_open_file_handle(tmp_path):
@@ -242,7 +247,7 @@ def test_streams_fine_for_master_read_modes():
     assert sum(chunk_apply(io.BytesIO(data), count_records,
                            cfg("sequential", 1, 16))) == 20
     assert sum(chunk_apply(io.BytesIO(data), count_records,
-                           cfg("pipeline", 2, 16, executor="thread"))) == 20
+                           cfg("pipeline", 2, 16))) == 20
 
 
 def test_split_empty_file(tmp_path):
@@ -263,5 +268,34 @@ def test_config_validation():
         ApplyConfig(mode="turbo")
     with pytest.raises(ValueError):
         ApplyConfig(parallel=0)
-    with pytest.raises(ValueError):
-        ApplyConfig(executor="gpu")
+
+
+class RecordingPool(ProcessPoolExecutor):
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.mark.parametrize("mode", ["pipeline", "split"])
+def test_pool_never_outnumbers_windows(tmp_path, monkeypatch, mode):
+    monkeypatch.setattr(rowstream.apply, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    path = tmp_path / "one.txt"
+    path.write_bytes(b"a\nb\n")  # 4 bytes: one window at target 32
+    assert chunk_apply(path, count_records, cfg(mode, 4)) == [2]
+    with open(path, "rb") as fh:
+        assert chunk_apply(fh, count_records, cfg(mode, 4)) == [2]
+    path.write_bytes(b"".join(b"%d\n" % i for i in range(30)))  # 3 windows
+    assert sum(chunk_apply(path, count_records, cfg(mode, 4))) == 30
+    assert RecordingPool.sizes == [1, 1, 3]
+    if mode == "pipeline":
+        # a plain stream's size is unknown, so the pool takes ``parallel``
+        stream = io.BytesIO(b"a\nb\n")
+        assert chunk_apply(stream, count_records, cfg(mode, 2)) == [2]
+        assert chunk_apply(b"a\nb\n", count_records, cfg(mode, 2)) == [2]
+        # nor is a device's, though it reports size 0
+        with pytest.raises(RecordTooLarge):
+            chunk_apply("/dev/zero", count_records, cfg(mode, 2))
+        assert RecordingPool.sizes == [1, 1, 3, 2, 1, 2]

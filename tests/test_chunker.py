@@ -1,18 +1,14 @@
-import io
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rowstream import (
+    ApplyConfig,
     Chunk,
     ChunkerConfig,
-    NotSeekable,
     RecordTooLarge,
-    adjust_split,
-    byte_range_splits,
+    chunk_apply,
     iter_chunks,
-    next_chunk,
 )
 
 
@@ -40,10 +36,9 @@ def test_single_chunk_when_target_large():
     assert chunk_bytes(data, target_bytes=1 << 20) == [data]
 
 
-def test_seq_and_is_last_flags():
+def test_seq_is_gapless_from_zero():
     chunks = list(iter_chunks(b"a\nb\nc\n", ChunkerConfig(target_bytes=2)))
     assert [c.seq for c in chunks] == [0, 1, 2]
-    assert [c.is_last for c in chunks] == [False, False, True]
     assert all(isinstance(c, Chunk) for c in chunks)
 
 
@@ -69,6 +64,18 @@ def test_sources_path_stream_bytes_agree(tmp_path):
     assert from_bytes == from_path == from_stream
 
 
+def make_records(lengths, terminated):
+    records = [bytes([65 + (i % 26)]) * n for i, n in enumerate(lengths)]
+    data = b"\n".join(records)
+    if terminated and records:
+        data += b"\n"
+    return data
+
+
+def over_cap(lengths, target):
+    return any(n > 8 * target for n in lengths)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     lengths=st.lists(st.integers(min_value=0, max_value=40), max_size=60),
@@ -76,11 +83,12 @@ def test_sources_path_stream_bytes_agree(tmp_path):
     terminated=st.booleans(),
 )
 def test_chunk_invariants(lengths, target, terminated):
-    records = [bytes([65 + (i % 26)]) * n for i, n in enumerate(lengths)]
-    data = b"\n".join(records)
-    if terminated and records:
-        data += b"\n"
-    chunks = chunk_bytes(data, target_bytes=target, hard_cap_bytes=1 << 20)
+    data = make_records(lengths, terminated)
+    if over_cap(lengths, target):
+        with pytest.raises(RecordTooLarge):
+            chunk_bytes(data, target_bytes=target)
+        return
+    chunks = chunk_bytes(data, target_bytes=target)
     assert b"".join(chunks) == data
     for c in chunks[:-1]:
         assert c.endswith(b"\n")
@@ -96,108 +104,60 @@ def test_chunk_invariants(lengths, target, terminated):
         pos = end
 
 
+def identity(data: bytes) -> bytes:
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+# one 2-byte record at target 1: the second worker's window starts inside
+# it and no separator follows, so that worker must yield nothing
+@example(lengths=[2], target=1, parallel=2, terminated=False)
+@given(
+    lengths=st.lists(st.integers(min_value=0, max_value=40), max_size=30),
+    target=st.integers(min_value=1, max_value=48),
+    parallel=st.integers(min_value=1, max_value=5),
+    terminated=st.booleans(),
+)
+def test_split_equals_sequential(tmp_path_factory, lengths, target, parallel,
+                                 terminated):
+    # workers that chunk their own windows must cut exactly the chunks of
+    # one sequential pass; records may span many windows, and a window
+    # may start inside the file's unterminated last record
+    path = tmp_path_factory.mktemp("split") / "rows.txt"
+    path.write_bytes(make_records(lengths, terminated))
+    chunker = ChunkerConfig(target)
+    seq = ApplyConfig(chunker=chunker)
+    split = ApplyConfig(mode="split", parallel=parallel, chunker=chunker)
+    if over_cap(lengths, target):
+        for cfg in (seq, split):
+            with pytest.raises(RecordTooLarge):
+                chunk_apply(path, identity, cfg)
+        return
+    assert chunk_apply(path, identity, split) == chunk_apply(
+        path, identity, seq
+    )
+
+
 def test_hard_cap_exact_boundary():
-    cfg = dict(target_bytes=4, hard_cap_bytes=8)
-    assert chunk_bytes(b"ab\n" + b"x" * 8 + b"\ncd\n", **cfg)  # payload == cap: fine
+    # target 1 caps a record at 8 bytes
+    assert chunk_bytes(b"ab\n" + b"x" * 8 + b"\ncd\n", target_bytes=1)
     with pytest.raises(RecordTooLarge):
-        chunk_bytes(b"ab\n" + b"x" * 9 + b"\ncd\n", **cfg)
+        chunk_bytes(b"ab\n" + b"x" * 9 + b"\ncd\n", target_bytes=1)
 
 
 def test_hard_cap_catches_interior_record():
     # the over-long record begins and ends inside a single read block
     data = b"a\n" + b"x" * 50 + b"\n" + b"b\n" * 100
     with pytest.raises(RecordTooLarge):
-        chunk_bytes(data, target_bytes=16, hard_cap_bytes=32)
+        chunk_bytes(data, target_bytes=4)
 
 
 def test_hard_cap_unterminated_tail():
     with pytest.raises(RecordTooLarge):
-        chunk_bytes(b"ok\n" + b"y" * 40, target_bytes=8, hard_cap_bytes=16)
+        chunk_bytes(b"ok\n" + b"y" * 40, target_bytes=2)
 
 
 def test_hard_cap_defaults_to_eight_targets():
-    assert ChunkerConfig(target_bytes=10).hard_cap_bytes == 80
-    with pytest.raises(ValueError):
-        ChunkerConfig(target_bytes=10, hard_cap_bytes=5)
-
-
-def test_next_chunk_matches_iterator():
-    data = b"".join(b"row%d\n" % i for i in range(50))
-    cfg = ChunkerConfig(target_bytes=32)
-    stream = io.BytesIO(data)
-    pulled = []
-    while True:
-        piece = next_chunk(stream, cfg)
-        if piece == b"":
-            break
-        pulled.append(piece)
-    assert pulled == chunk_bytes(data, target_bytes=32)
-    assert next_chunk(stream, cfg) == b""  # stays at EOF
-
-
-def test_next_chunk_requires_seekable():
-    class Pipe(io.RawIOBase):
-        def readable(self):
-            return True
-
-    with pytest.raises(NotSeekable):
-        next_chunk(Pipe())
-
-
-def test_byte_range_splits_exact_tiling():
-    assert byte_range_splits(10, 3) == [(0, 4), (4, 3), (7, 3)]
-    assert byte_range_splits(3, 5) == [(0, 1), (1, 1), (2, 1), (3, 0), (3, 0)]
-    assert byte_range_splits(0, 2) == [(0, 0), (0, 0)]
-    with pytest.raises(ValueError):
-        byte_range_splits(10, 0)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    lengths=st.lists(st.integers(min_value=0, max_value=25), max_size=40),
-    n_splits=st.integers(min_value=1, max_value=8),
-    terminated=st.booleans(),
-)
-def test_adjust_split_tiles_the_file(lengths, n_splits, terminated):
-    records = [b"r" * n for n in lengths]
-    data = b"\n".join(records)
-    if terminated and records:
-        data += b"\n"
-    stream = io.BytesIO(data)
-    adjusted = [
-        adjust_split(stream, off, ln)
-        for off, ln in byte_range_splits(len(data), n_splits)
-    ]
-    # ranges chain with no gaps or overlap and cover the whole file
-    pos = 0
-    for start, end in adjusted:
-        assert start <= end
-        covered = max(start, pos), max(end, pos)
-        assert covered[0] == pos or start >= pos
-        pos = max(pos, end)
-    starts = sorted(s for s, e in adjusted if e > s)
-    ends = sorted(e for s, e in adjusted if e > s)
-    assert all(e <= len(data) for e in ends)
-    if data:
-        spans = sorted((s, e) for s, e in adjusted if e > s)
-        assert spans[0][0] == 0
-        assert spans[-1][1] == len(data)
-        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-            assert e1 == s2
-        # every span starts on a record boundary
-        for s, _ in spans:
-            assert s == 0 or data[s - 1] == 0x0A
-    else:
-        assert not starts and not ends
-
-
-def test_adjust_split_record_at_offset_is_owned():
-    data = b"aaa\nbbb\nccc\n"
-    stream = io.BytesIO(data)
-    # offset 4 is the first byte of "bbb"; that record belongs to this split
-    assert adjust_split(stream, 4, 4) == (4, 8)
-    assert adjust_split(stream, 0, 4) == (0, 4)
-    # a zero-length split owns nothing
-    s, e = adjust_split(stream, 5, 0)
-    assert s == e
-
+    assert chunk_bytes(b"x" * 80 + b"\n", target_bytes=10) == [b"x" * 80 + b"\n"]
+    with pytest.raises(RecordTooLarge):
+        chunk_bytes(b"x" * 81 + b"\n", target_bytes=10)

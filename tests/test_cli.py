@@ -368,3 +368,24 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == b"5,hello\n"
     assert b"rows: 1" in proc.stderr
+
+
+@pytest.mark.parametrize("bad", [b"nan", b"inf", b"-Inf"])
+def test_mm_drops_non_finite_rows_so_fit_solves(tmp_path, capsysbinary, bad):
+    clean = b"y,x\n1,2\n3,5\n4,7\n5,11\n"
+    dirty = b"y,x\n1,2\n2,%s\n3,5\n%s,6\n4,7\n5,11\n" % (bad, bad)
+    fits = []
+    for name, data in (("clean", clean), ("dirty", dirty)):
+        src = tmp_path / f"{name}.csv"
+        src.write_bytes(data)
+        ckpt = tmp_path / f"{name}.mm"
+        code, _, err = run(["mm", str(src), "--out", str(ckpt), "--header",
+                            "--response", "y", "--numeric", "x"], capsysbinary)
+        assert code == 0, err
+        dropped = 2 if name == "dirty" else 0
+        assert f"{dropped} dropped (null)" in err
+        code, out, err = run(["fit", str(ckpt), "--response", "y"],
+                             capsysbinary)
+        assert code == 0, err
+        fits.append(out)
+    assert fits[0] == fits[1]

@@ -14,13 +14,12 @@ from rowstream import (
     concat_frames,
     frames_equal,
     infer_schema,
-    parse_field,
     parse_frame,
     parse_frame_with_header,
     split_quoted,
     tokenize,
 )
-from rowstream._coerce import convert_column
+from rowstream._coerce import convert_column, parse_field_ex
 
 from oracle import _naive_split_fields, naive_parse_frame
 
@@ -129,7 +128,8 @@ def test_real_nonfinite_literals_are_values_not_nulls():
     ],
 )
 def test_complex_grammar(token, expected):
-    value = parse_field(token, X)
+    value, failed = parse_field_ex(token, X)
+    assert not failed
     if np.isnan(expected.imag):
         assert value.real == expected.real and np.isnan(value.imag)
     else:
@@ -383,3 +383,35 @@ def test_parse_is_deterministic(tokens, ctype):
     second, r2 = parse_frame(data, schema)
     assert frames_equal(first, second)
     assert r1 == r2
+
+
+@pytest.mark.parametrize(
+    "ctype,cell,expected",
+    [
+        (I, b"1_000", 1000), (I, b" 12 ", 12), (I, b"+7", 7),
+        (I, b"1e3", None), (I, b"12.0", None),
+        (I, b"9223372036854775808", None),
+        (R, b"1_0.5", 10.5), (R, b"infinity", np.inf), (R, b"-Inf", -np.inf),
+        (R, b"1e400", np.inf),
+        (L, b"T", True), (L, b"TRUE", True), (L, b"F", False),
+        (L, b"FALSE", False), (L, b"true", None), (L, b"1", None),
+    ],
+)
+def test_readme_cell_grammar_on_both_paths(ctype, cell, expected):
+    # README "Cell grammar": the bulk cast and the per-cell path agree
+    frame, report = parse_frame(cell + b"\n", Schema((ctype,)))
+    column = frame.column("V1")
+    bulk = None if column.mask[0] else column.values[0]
+    scalar, failed = parse_field_ex(cell, ctype)
+    assert bulk == scalar == expected
+    assert failed == (expected is None) == (report.total_failures == 1)
+
+
+def test_readme_cell_grammar_nan_and_nulls():
+    frame, _ = parse_frame(b"NaN\n", Schema((R,)))
+    assert np.isnan(frame.column("V1").values[0])
+    assert np.isnan(parse_field_ex(b"NaN", R)[0])
+    frame, report = parse_frame(b'NA,"NA"\n,""\n', Schema((C, C), quote=b'"'))
+    assert frame.column("V1").mask.tolist() == [True, True]
+    assert frame.column("V2").values == ["NA", ""]
+    assert report.total_failures == 0

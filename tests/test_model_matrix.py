@@ -246,3 +246,17 @@ def test_column_count_identity():
         ),
     )
     assert len(spec_names(spec)) == 1 + 1 + 2 + (3 - 1) + (2 - 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_response_or_term_counts_as_null(bad):
+    # R's is.na is true for NaN; a NaN or infinite row cannot be fit either
+    frame = Frame([
+        col("y", ColumnType.REAL, [1.0, bad, 3.0, 4.0]),
+        col("x", ColumnType.REAL, [2.0, 5.0, bad, 7.0]),
+    ])
+    matrix, report = expand(frame, TermSpec("y", (NumericTerm("x"),)))
+    assert matrix.values.tolist() == [[1.0, 1.0, 2.0], [1.0, 4.0, 7.0]]
+    assert report.n_dropped_null == 2
+    assert report.n_dropped_unknown == 0
+    assert report.n_rows == 2
