@@ -170,28 +170,15 @@ def _logical_bulk(fields):
     return true, null | bad, int(bad.sum())
 
 
-def _integer_bulk(fields):
+def _cast_bulk(fields, dtype, placeholder: bytes):
     a = _bytes_array(fields)
     mask = _null_mask(a)
     if mask.any():
-        a[mask] = b"0"
+        a[mask] = placeholder
     try:
-        values = a.astype(np.int64)
+        return a.astype(dtype), mask, 0
     except (ValueError, OverflowError):
         return None
-    return values, mask, 0
-
-
-def _real_bulk(fields):
-    a = _bytes_array(fields)
-    mask = _null_mask(a)
-    if mask.any():
-        a[mask] = b"nan"
-    try:
-        values = a.astype(np.float64)
-    except ValueError:
-        return None
-    return values, mask, 0
 
 
 def _column_slow(fields, ctype, quoted):
@@ -252,14 +239,13 @@ def convert_column(
     if bulk:
         if ctype is ColumnType.LOGICAL:
             return _logical_bulk(fields)
+        out = None
         if ctype is ColumnType.INTEGER:
-            out = _integer_bulk(fields)
-            if out is not None:
-                return out
+            out = _cast_bulk(fields, np.int64, b"0")
         elif ctype in (ColumnType.REAL, ColumnType.TIMESTAMP):
-            out = _real_bulk(fields)
-            if out is not None:
-                return out
+            out = _cast_bulk(fields, np.float64, b"nan")
+        if out is not None:
+            return out
     return _column_slow(fields, ctype, quoted)
 
 

@@ -1,16 +1,17 @@
 """Drive a function over record-aligned chunks, three ways.
 
-Modes: ``sequential`` (read, compute, repeat), ``pipeline`` (master reads and
-prefetches one chunk ahead while up to ``parallel`` workers compute), and
-``split`` (workers read their own byte ranges of the file).  Chunk boundaries
-are identical in every mode — see chunker — so for a pure ``f`` the three
-modes return element-wise identical result lists, in chunk order.
+Modes: ``sequential`` (read, compute, repeat), ``pipeline`` (master reads the
+next chunk while up to ``parallel`` workers compute), and ``split`` (each
+worker runs the sequential loop over its own byte range of the file).  Chunk
+boundaries are identical in every mode — see chunker — so for a pure ``f``
+the three modes return element-wise identical result lists, in chunk order.
 
 The function receives the chunk's bytes.  The pooled modes run it in worker
 processes, so it must be picklable: a module-level function or
 functools.partial.  A pool never has more workers than the input has windows
 when the input's size is known: bytes, or a regular file given by path or by
-an open handle.  Split mode needs such a file.
+an open handle.  Split mode needs such a file.  Every mode reads an open
+handle from where it stands.
 
 An optional ``on_event`` callback observes the master's scheduling actions as
 ``(kind, seq)`` pairs, kinds ``read_start``/``read_end``/``dispatch``/
@@ -25,10 +26,11 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import Callable, Optional
 
-from .chunker import ChunkerConfig, _raw_chunks, iter_chunks
+from .chunker import Chunk, ChunkerConfig, _raw_chunks, iter_chunks
 from .errors import NotSeekable, WorkerFailure
 
 __all__ = ["MODES", "ApplyConfig", "chunk_apply", "iter_chunks"]
@@ -55,139 +57,118 @@ class ApplyConfig:
             raise ValueError("parallel must be >= 1")
 
 
-def _source_path(source):
-    """The regular file ``source`` names or reads, or None: a pipe or a
-    device has no size to divide into windows."""
-    if not isinstance(source, (str, Path)):
-        source = getattr(source, "name", None)
-        if not isinstance(source, str):
-            return None
-    return os.fspath(source) if os.path.isfile(source) else None
-
-
-def _pool_size(source, cfg: ApplyConfig) -> int:
-    """``parallel``, but no more than the windows of a source of known size:
-    every chunk spans at least one window, so more workers would sit idle."""
+def _extent(source):
+    """``(path, origin, size)``: the regular file ``source`` names or reads,
+    where an open handle stands in it, and the bytes from there on.  Bytes
+    have no path; a pipe, a device or another stream has no size either."""
     if isinstance(source, (bytes, bytearray)):
-        size = len(source)
-    else:
-        path = _source_path(source)
-        if path is None:
-            return cfg.parallel
-        size = os.path.getsize(path)
+        return None, 0, len(source)
+    path = source
+    if not isinstance(source, (str, Path)):
+        path = getattr(source, "name", None)
+    if not isinstance(path, (str, Path)) or not os.path.isfile(path):
+        return None, 0, None
+    origin = 0 if path is source else source.tell()
+    return os.fspath(path), origin, os.path.getsize(path) - origin
+
+
+def _pool_size(size, cfg: ApplyConfig) -> int:
+    """``parallel``, but no more than the windows in ``size`` bytes when the
+    size is known: every chunk spans at least one window, so more workers
+    would sit idle."""
+    if size is None:
+        return cfg.parallel
     return max(1, min(cfg.parallel, -(-size // cfg.chunker.target_bytes)))
 
 
+def _no_event(kind, seq):
+    pass
+
+
 def _event_chunks(source, cfg: ChunkerConfig, on_event):
-    it = iter_chunks(source, cfg)
-    seq = 0
-    while True:
-        if on_event is not None:
-            on_event("read_start", seq)
-        chunk = next(it, None)
-        if on_event is not None:
-            on_event("read_end", seq if chunk is not None else -1)
+    chunks = iter_chunks(source, cfg)
+    for seq in count():
+        on_event("read_start", seq)
+        chunk = next(chunks, None)
+        on_event("read_end", -1 if chunk is None else seq)
         if chunk is None:
             return
         yield chunk
-        seq += 1
 
 
-def _run_sequential(source, f, cfg: ApplyConfig, on_event) -> list:
+def _run_sequential(chunks, f, on_event=_no_event) -> list:
     results = []
-    for chunk in _event_chunks(source, cfg.chunker, on_event):
-        if on_event is not None:
-            on_event("dispatch", chunk.seq)
+    for chunk in chunks:
+        on_event("dispatch", chunk.seq)
         try:
             result = f(chunk.data)
         except Exception as exc:
             raise WorkerFailure(chunk.seq, exc) from exc
-        if on_event is not None:
-            on_event("collect", chunk.seq)
+        on_event("collect", chunk.seq)
         results.append(result)
     return results
 
 
 def _run_pipeline(source, f, cfg: ApplyConfig, on_event) -> list:
+    """Read a chunk, collect the oldest computation if ``parallel`` are in
+    flight, then dispatch; so the next read overlaps the running work."""
     results = []
-    chunks = _event_chunks(source, cfg.chunker, on_event)
-    with ProcessPoolExecutor(max_workers=_pool_size(source, cfg)) as pool:
-        inflight = deque()
+    inflight = deque()
+    with ProcessPoolExecutor(_pool_size(_extent(source)[2], cfg)) as pool:
 
-        def dispatch(chunk):
-            future = pool.submit(f, chunk.data)
-            if on_event is not None:
-                on_event("dispatch", chunk.seq)
-            inflight.append((chunk.seq, future))
-
-        exhausted = False
-        while not exhausted and len(inflight) < cfg.parallel:
-            chunk = next(chunks, None)
-            if chunk is None:
-                exhausted = True
-            else:
-                dispatch(chunk)
-        prefetched = None
-        while inflight:
-            if not exhausted and prefetched is None:
-                prefetched = next(chunks, None)
-                if prefetched is None:
-                    exhausted = True
+        def collect():
             seq, future = inflight.popleft()
             try:
-                result = future.result()
+                results.append(future.result())
             except Exception as exc:
-                for _, pending in inflight:
-                    pending.cancel()
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise WorkerFailure(seq, exc) from exc
-            if on_event is not None:
-                on_event("collect", seq)
-            results.append(result)
-            if prefetched is not None:
-                dispatch(prefetched)
-                prefetched = None
+            on_event("collect", seq)
+
+        for chunk in _event_chunks(source, cfg.chunker, on_event):
+            if len(inflight) == cfg.parallel:
+                collect()
+            inflight.append((chunk.seq, pool.submit(f, chunk.data)))
+            on_event("dispatch", chunk.seq)
+        while inflight:
+            collect()
     return results
 
 
-def _split_worker(path, win_lo, win_hi, cfg: ChunkerConfig, f):
+def _split_worker(path, origin, win_lo, win_hi, cfg: ChunkerConfig, f):
     target = cfg.target_bytes
-    results = []
     with open(path, "rb") as stream:
-        chunks = _raw_chunks(stream, cfg, win_lo * target, win_hi * target)
-        for i, data in enumerate(chunks):
-            try:
-                results.append(f(data))
-            except Exception as exc:
-                return "err", i, exc
-    return "ok", results
+        stream.seek(origin)
+        raw = _raw_chunks(stream, cfg, win_lo * target, win_hi * target)
+        return _run_sequential(map(Chunk, raw, count()), f)
 
 
 def _run_split(source, f, cfg: ApplyConfig) -> list:
-    path = _source_path(source)
+    path, origin, size = _extent(source)
     if path is None:
         raise NotSeekable(
             f"split mode reads byte ranges of a regular file; got {source!r}"
         )
-    n_windows = -(-os.path.getsize(path) // cfg.chunker.target_bytes)
-    if n_windows == 0:
+    if size <= 0:
         return []
-    n_workers = _pool_size(path, cfg)
+    n_windows = -(-size // cfg.chunker.target_bytes)
+    n_workers = _pool_size(size, cfg)
     per, extra = divmod(n_windows, n_workers)
     edges = [i * per + min(i, extra) for i in range(n_workers + 1)]
+    results = []
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         futures = [
-            pool.submit(_split_worker, path, lo, hi, cfg.chunker, f)
+            pool.submit(_split_worker, path, origin, lo, hi, cfg.chunker, f)
             for lo, hi in zip(edges, edges[1:])
         ]
-        outcomes = [future.result() for future in futures]
-    results = []
-    for outcome in outcomes:
-        if outcome[0] == "ok":
-            results.extend(outcome[1])
-        else:
-            _, local_idx, exc = outcome
-            raise WorkerFailure(len(results) + local_idx, exc) from exc
+        for future in futures:
+            try:
+                results.extend(future.result())
+            except WorkerFailure as exc:
+                # a worker numbers its chunks from 0, after all of the
+                # earlier workers' chunks
+                seq = len(results) + exc.seq
+                raise WorkerFailure(seq, exc.cause) from exc.cause
     return results
 
 
@@ -204,8 +185,10 @@ def chunk_apply(
     no partial result list is returned.
     """
     cfg = cfg or ApplyConfig()
+    on_event = on_event or _no_event
     if cfg.mode == "sequential":
-        return _run_sequential(source, f, cfg, on_event)
+        chunks = _event_chunks(source, cfg.chunker, on_event)
+        return _run_sequential(chunks, f, on_event)
     if cfg.mode == "pipeline":
         return _run_pipeline(source, f, cfg, on_event)
     return _run_split(source, f, cfg)

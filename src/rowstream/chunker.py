@@ -10,6 +10,11 @@ last byte.  Consecutive windows whose chunks would be empty are absorbed into
 the chunk that ends past them.  Because the rule only looks at absolute
 positions, any byte range of the file can be chunked independently and the
 pieces agree exactly with a single sequential pass.
+
+A record longer than ``8 * target_bytes`` raises RecordTooLarge.  Every
+record that ends before its window's last byte is shorter than one window,
+so only the record that crosses that byte (or the unterminated tail) can
+exceed the cap, and it is the only one checked, when its chunk is cut.
 """
 
 from __future__ import annotations
@@ -60,106 +65,51 @@ def _open_source(source: Source) -> tuple[BinaryIO, bool]:
     return source, False
 
 
-def _audit_record_lengths(data: bytes, tail: int, cap: int, at: int) -> int:
-    """Extend the running separator-free byte count across ``data``.
-
-    ``tail`` is the payload length accumulated since the last separator before
-    this block; the return value is the same count after the block.  Raises
-    RecordTooLarge as soon as any record's payload exceeds ``cap``.  The
-    interior of a block is only scanned separator-by-separator when its total
-    separator span is large enough to possibly hide an over-long record.
-    """
-    j = data.find(_SEP)
-    if j == -1:
-        tail += len(data)
-        if tail > cap:
-            raise RecordTooLarge(
-                f"record near byte {at + len(data) - tail} exceeds "
-                f"hard cap of {cap} bytes"
-            )
-        return tail
-    if tail + j > cap:
-        raise RecordTooLarge(
-            f"record near byte {at - tail} exceeds hard cap of {cap} bytes"
-        )
-    k = data.rfind(_SEP)
-    if k - j - 1 > cap:
-        p = j
-        while True:
-            q = data.find(_SEP, p + 1)
-            if q == -1:
-                break
-            if q - p - 1 > cap:
-                raise RecordTooLarge(
-                    f"record near byte {at + p + 1} exceeds "
-                    f"hard cap of {cap} bytes"
-                )
-            p = q
-    tail = len(data) - 1 - k
-    if tail > cap:
-        raise RecordTooLarge(
-            f"record near byte {at + k + 1} exceeds hard cap of {cap} bytes"
-        )
-    return tail
-
-
 def _raw_chunks(
     stream: BinaryIO, cfg: ChunkerConfig, start: int, stop: int | None
 ) -> Iterator[bytes]:
     """Yield raw chunk payloads for records starting in ``[start, stop)``.
 
-    With ``start`` 0 the stream is read from where it stands.  A ``start``
-    past 0 must be a multiple of ``target_bytes`` and the stream seekable:
-    the record that holds byte ``start - 1`` belongs to the chunk of the
-    window before, so everything through the first separator at or past
-    ``start - 1`` is skipped.  ``stop``, when given, must be a multiple of
-    ``target_bytes``; the final chunk then runs to the first separator at or
-    past ``stop - 1``, so records beginning at ``stop`` or later are left
-    untouched.
+    Positions count from where the stream stands.  A ``start`` past 0 must
+    be a multiple of ``target_bytes`` and the stream seekable: the record
+    that holds byte ``start - 1`` belongs to the chunk of the window before,
+    so everything through the first separator at or past ``start - 1`` is
+    cut as a chunk from there and dropped (if it is over the cap, so is the
+    chunk of the window before, which reports it first).  ``stop``, when
+    given, must be a multiple of ``target_bytes``; the final chunk then runs
+    to the first separator at or past ``stop - 1``, so records beginning at
+    ``stop`` or later are left untouched.
     """
     target = cfg.target_bytes
     cap = 8 * target
-    buf = b""
-    base = start  # absolute position of buf[0]
+    base = start  # position of buf[0]
     if start > 0:
-        pos = start - 1  # absolute position of data[0]
-        stream.seek(pos)
-        while True:
-            data = stream.read(_READ_SIZE)
-            if not data:
-                return
-            j = data.find(_SEP)
-            if j != -1:
-                break
-            pos += len(data)
-        base = pos + j + 1
-        buf = data[j + 1 :]
-    # separator-free bytes accumulated before the next read
-    tail = _audit_record_lengths(buf, 0, cap, base)
+        base = start - 1
+        stream.seek(base, io.SEEK_CUR)
+    buf = b""
     eof = False
     while stop is None or base < stop:
-        boundary = (base // target + 1) * target
-        search_from = max(boundary - 1 - base, 0)
-        cut = -1
+        first = (base // target + 1) * target - 1 - base  # window's last byte
+        search_from = first
         while True:
-            if search_from < len(buf):
-                cut = buf.find(_SEP, search_from)
-                if cut != -1:
-                    break
-                search_from = len(buf)
-            if eof:
+            cut = buf.find(_SEP, search_from)
+            if cut != -1 or eof or len(buf) - first > cap:
                 break
+            search_from = max(len(buf), first)
             data = stream.read(_READ_SIZE)
-            if not data:
-                eof = True
-                continue
-            tail = _audit_record_lengths(data, tail, cap, base + len(buf))
+            eof = not data
             buf += data
+        # records ending before ``first`` are shorter than a window; only the
+        # one crossing it can be over the cap
+        record = buf.rfind(_SEP, 0, first) + 1
+        end = len(buf) if cut == -1 else cut
+        if end - record > cap:
+            raise RecordTooLarge(f"record near byte {base + record} exceeds "
+                                 f"hard cap of {cap} bytes")
+        if buf and base != start - 1:
+            yield buf[: end + 1]
         if cut == -1:
-            if buf:
-                yield buf
             return
-        yield buf[: cut + 1]
         base += cut + 1
         buf = buf[cut + 1 :]
 

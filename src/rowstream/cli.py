@@ -38,12 +38,11 @@ from .errors import (
 from .frame import (
     ParseReport,
     Schema,
+    _header_names,
     _skip_records,
     check_layout,
     infer_schema,
     parse_frame,
-    parse_frame_with_header,
-    tokenize,
 )
 from .matrix import parse_matrix
 from .model_matrix import (
@@ -119,27 +118,35 @@ def _default_chunker() -> ChunkerConfig:
     return ChunkerConfig()
 
 
-def _project(schema: Schema, data: bytes, header: bool, keep) -> Schema:
-    """Set every column whose name is not in ``keep`` to SKIP, so the parser
-    never converts it.  Names come from the header record of ``data``, or
-    are the unprojected schema's V1, V2, ... so that none is renumbered.  A
-    header whose arity differs from the schema's leaves the schema whole, for
-    the parser to report."""
+def _resolve_schema(data: bytes, schema_arg, sep, header, columns) -> Schema:
+    """The schema of the input whose first data-bearing chunk is ``data``.
+
+    Types are given or inferred from the records after any header.  Names
+    come from the header, or are V1, V2, ... over the non-skipped columns.
+    With ``columns``, a set of names, every other column is set to SKIP, so
+    the parser never converts it, and the kept ones keep their names.
+    """
+    if schema_arg == "infer":
+        sample = _skip_records(data, 1)[0] if header else data
+        if not sample:
+            raise SchemaError(
+                "first chunk holds no data records to infer from; "
+                "pass an explicit schema"
+            )
+        types = infer_schema(sample, field_sep=sep).types
+    else:
+        types = _parse_types(schema_arg)
+    schema = Schema(types, field_sep=sep)
     if header:
-        fields = tokenize(data, schema.field_sep, limit=1)[0][0]
-        names = [f.decode("utf-8", "surrogateescape") for f in fields]
-        if len(names) != len(schema.types):
-            return schema
+        names = _header_names(data, schema)
     else:
         out = iter(schema.out_names())
-        names = [None if t is ColumnType.SKIP else next(out)
-                 for t in schema.types]
-    kept = [t is not ColumnType.SKIP and n in keep
-            for t, n in zip(schema.types, names)]
+        names = [None if t is ColumnType.SKIP else next(out) for t in types]
+    kept = [t is not ColumnType.SKIP and (columns is None or n in columns)
+            for t, n in zip(types, names)]
     return replace(
         schema,
-        types=tuple(t if k else ColumnType.SKIP
-                    for t, k in zip(schema.types, kept)),
+        types=tuple(t if k else ColumnType.SKIP for t, k in zip(types, kept)),
         names=tuple(n for n, k in zip(names, kept) if k),
     )
 
@@ -148,42 +155,24 @@ def _parse_stream(path, schema_arg, sep, header, skip, strict, cfg,
                   columns=None):
     """Stream a file as parsed frames: yields (schema, frame, report).
 
-    The first data-bearing chunk resolves the schema — skipping leading
-    records, consuming the header, and running inference when asked — and
-    later chunks reuse it.  With ``columns``, a set of names, the resolved
-    schema is projected onto them (see :func:`_project`).
+    The first data-bearing chunk, after ``skip`` leading records, resolves
+    the schema (see :func:`_resolve_schema`) and loses its header record;
+    every chunk is then parsed with that schema.
     """
     remaining_skip = skip
     schema = None
     for chunk in iter_chunks(path, cfg):
         data = chunk.data
-        if schema is not None:
-            frame, report = parse_frame(data, schema, strict=strict)
-            yield schema, frame, report
-            continue
-        if remaining_skip:
-            data, dropped = _skip_records(data, remaining_skip)
-            remaining_skip -= dropped
-        if not data:
-            continue
-        if schema_arg == "infer":
-            sample = _skip_records(data, 1)[0] if header else data
-            if not sample:
-                raise SchemaError(
-                    "first chunk holds no data records to infer from; "
-                    "pass an explicit schema"
-                )
-            types = infer_schema(sample, field_sep=sep).types
-        else:
-            types = _parse_types(schema_arg)
-        schema = Schema(types, field_sep=sep)
-        if columns is not None:
-            schema = _project(schema, data, header, columns)
-        if header:
-            frame, report = parse_frame_with_header(data, schema, strict=strict)
-        else:
-            frame, report = parse_frame(data, schema, strict=strict)
-        schema = replace(schema, names=tuple(frame.names))
+        if schema is None:
+            if remaining_skip:
+                data, dropped = _skip_records(data, remaining_skip)
+                remaining_skip -= dropped
+            if not data:
+                continue
+            schema = _resolve_schema(data, schema_arg, sep, header, columns)
+            if header:
+                data = _skip_records(data, 1)[0]
+        frame, report = parse_frame(data, schema, strict=strict)
         yield schema, frame, report
 
 
@@ -326,8 +315,6 @@ def cmd_mm(args) -> int:
                 for column in hhmm_cols:
                     frame = normalize_hhmm_column(frame, column)
                 matrix, xreport = expand(frame, spec, lenient_levels=True)
-                if matrix.col_names != names:
-                    raise SchemaError("checkpoint columns changed mid-stream")
                 data = format_matrix(matrix, b",")
                 if not marker.exists():
                     marker.touch()  # unfinished only once the data changes

@@ -71,3 +71,6 @@ class WorkerFailure(RowstreamError):
         super().__init__(f"chunk {seq} failed: {cause!r}")
         self.seq = seq
         self.cause = cause
+
+    def __reduce__(self):
+        return type(self), (self.seq, self.cause)

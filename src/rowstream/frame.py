@@ -337,6 +337,19 @@ def parse_frame(chunk: bytes, schema: Schema, skip_lines: int = 0,
     return frame, report
 
 
+def _header_names(chunk: bytes, schema: Schema) -> list:
+    """The name of every physical column, skipped ones included, from the
+    header record that opens ``chunk``."""
+    rows = tokenize(chunk, schema.field_sep, schema.quote, limit=1)[0]
+    if not rows:
+        raise HeaderArityMismatch("no header record in an empty chunk")
+    if len(rows[0]) != len(schema.types):
+        raise HeaderArityMismatch(
+            f"header has {len(rows[0])} fields, schema has {len(schema.types)}"
+        )
+    return [f.decode("utf-8", "surrogateescape") for f in rows[0]]
+
+
 def parse_frame_with_header(chunk: bytes, schema: Schema, strict: bool = False):
     """Parse a chunk whose first record is a header naming the columns.
 
@@ -344,27 +357,10 @@ def parse_frame_with_header(chunk: bytes, schema: Schema, strict: bool = False):
     skipped ones); names at skipped positions are dropped.  Any names already
     on the schema are replaced.
     """
-    rows, quoted, _ = tokenize(chunk, schema.field_sep, schema.quote)
-    if not rows:
-        raise HeaderArityMismatch("no header record in an empty chunk")
-    hfields = rows[0]
-    if len(hfields) != len(schema.types):
-        raise HeaderArityMismatch(
-            f"header has {len(hfields)} fields, schema has {len(schema.types)}"
-        )
-    names = tuple(
-        f.decode("utf-8", "surrogateescape")
-        for f, t in zip(hfields, schema.types)
-        if t is not ColumnType.SKIP
-    )
+    names = tuple(n for n, t in zip(_header_names(chunk, schema), schema.types)
+                  if t is not ColumnType.SKIP)
     named = replace(schema, names=names)
-    bulk = b"\x00" not in chunk
-    if quoted is not None:
-        quoted = quoted[1:]
-    frame, report = _build_frame(rows[1:], quoted, named, bulk, 0)
-    if strict:
-        _enforce_strict(report)
-    return frame, report
+    return parse_frame(_skip_records(chunk, 1)[0], named, strict=strict)
 
 
 def infer_schema(sample: bytes, max_records: int = 1000,

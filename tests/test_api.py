@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 import rowstream
 from rowstream.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_public_name_resolves():
@@ -18,6 +20,18 @@ def test_every_public_name_resolves():
                if not hasattr(rowstream, name)]
     assert missing == []
     assert len(set(rowstream.__all__)) == len(rowstream.__all__)
+
+
+def test_benchmark_imports_resolve(monkeypatch):
+    # perfbench/ is frozen between benchmark changes; a name it imports from
+    # rowstream must not disappear before the benchmark changes too
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        importlib.import_module("inprocess")
+    finally:
+        for name in ("inprocess", "workloads"):
+            sys.modules.pop(name, None)
+    assert hasattr(rowstream.NormalEqAccumulator, "zero")
 
 
 def test_readme_library_snippet_runs(tmp_path, capsys):

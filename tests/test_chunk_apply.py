@@ -1,5 +1,6 @@
 import hashlib
 import io
+import pickle
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -134,15 +135,25 @@ def test_exactly_once_total(tmp_path):
     "mode,parallel", [("sequential", 1), ("pipeline", 2), ("split", 2)]
 )
 def test_worker_failure_carries_seq(tmp_path, mode, parallel):
-    # fixed-width records, two per chunk; the marker sits in chunk 1
-    rows = [b"row%02d\n" % i for i in range(8)]
-    rows[3] = b"BOOM!\n"
-    path = tmp_path / "boom.txt"
-    path.write_bytes(b"".join(rows))
-    with pytest.raises(WorkerFailure) as info:
-        chunk_apply(path, boom_on_marker, cfg(mode, parallel, 12))
-    assert info.value.seq == 1
-    assert isinstance(info.value.cause, ValueError)
+    # fixed-width records, two per chunk, four chunks; split's second worker
+    # reads chunks 2 and 3, so the seq it reports must count the first's
+    for marked, seq in ((3, 1), (4, 2), (7, 3)):
+        rows = [b"row%02d\n" % i for i in range(8)]
+        rows[marked] = b"BOOM!\n"
+        path = tmp_path / "boom.txt"
+        path.write_bytes(b"".join(rows))
+        with pytest.raises(WorkerFailure) as info:
+            chunk_apply(path, boom_on_marker, cfg(mode, parallel, 12))
+        assert info.value.seq == seq
+        assert isinstance(info.value.cause, ValueError)
+
+
+def test_worker_failure_pickles():
+    # split workers raise it in the pool, so it must cross a process boundary
+    failure = pickle.loads(pickle.dumps(WorkerFailure(3, ValueError("bad"))))
+    assert failure.seq == 3
+    assert isinstance(failure.cause, ValueError)
+    assert str(failure) == "chunk 3 failed: ValueError('bad')"
 
 
 def test_pipeline_event_log_exact_unfolding(tmp_path):
@@ -163,6 +174,38 @@ def test_pipeline_event_log_exact_unfolding(tmp_path):
         ("read_start", 4), ("read_end", -1), ("collect", 2),
         ("collect", 3),
     ]
+
+
+@pytest.mark.parametrize("parallel,expected", [
+    (1, [
+        ("read_start", 0), ("read_end", 0), ("dispatch", 0),
+        ("read_start", 1), ("read_end", 1), ("collect", 0), ("dispatch", 1),
+        ("read_start", 2), ("read_end", 2), ("collect", 1), ("dispatch", 2),
+        ("read_start", 3), ("read_end", 3), ("collect", 2), ("dispatch", 3),
+        ("read_start", 4), ("read_end", -1), ("collect", 3),
+    ]),
+    (3, [
+        ("read_start", 0), ("read_end", 0), ("dispatch", 0),
+        ("read_start", 1), ("read_end", 1), ("dispatch", 1),
+        ("read_start", 2), ("read_end", 2), ("dispatch", 2),
+        ("read_start", 3), ("read_end", 3), ("collect", 0), ("dispatch", 3),
+        ("read_start", 4), ("read_end", -1),
+        ("collect", 1), ("collect", 2), ("collect", 3),
+    ]),
+])
+def test_pipeline_event_log_exact_at_parallel(tmp_path, parallel, expected):
+    # a chunk is read before the oldest computation is collected, so each
+    # read overlaps the work in flight
+    path = tmp_path / "four.txt"
+    path.write_bytes(b"".join(b"%d\n" % i for i in range(4)))
+    events = []
+    chunk_apply(
+        path,
+        count_records,
+        cfg("pipeline", parallel, target=2),
+        on_event=lambda kind, seq: events.append((kind, seq)),
+    )
+    assert events == expected
 
 
 def assert_scheduling_contract(events, parallel):
@@ -240,6 +283,18 @@ def test_split_accepts_open_file_handle(tmp_path):
     with open(path, "rb") as fh:
         got = chunk_apply(fh, count_records, cfg("split", 2, target=4))
     assert sum(got) == 3
+
+
+@pytest.mark.parametrize("mode", ["sequential", "pipeline", "split"])
+def test_every_mode_reads_a_handle_from_where_it_stands(tmp_path, mode):
+    path = tmp_path / "headed.txt"
+    path.write_bytes(b"header\n" + b"".join(b"%d\n" % i for i in range(20)))
+    runs = []
+    for run_cfg in (cfg("sequential", 1, 8), cfg(mode, 2, 8)):
+        with open(path, "rb") as fh:
+            fh.readline()
+            runs.append(chunk_apply(fh, count_records, run_cfg))
+    assert runs[1] == runs[0] == [4, 4, 4, 2, 3, 3]
 
 
 def test_streams_fine_for_master_read_modes():

@@ -1,7 +1,11 @@
+import io
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rowstream.chunker
 from rowstream import (
     ApplyConfig,
     Chunk,
@@ -14,6 +18,34 @@ from rowstream import (
 
 def chunk_bytes(source, **kw):
     return [c.data for c in iter_chunks(source, ChunkerConfig(**kw))]
+
+
+# 1, 3 and 7 bytes per read make small inputs take the paths that large
+# inputs take at the default: a cut or a record that spans many reads
+READ_SIZES = (1, 3, 7, rowstream.chunker._READ_SIZE)
+
+
+def outcome(cut):
+    """The chunks ``cut()`` returns, or the message of its RecordTooLarge."""
+    try:
+        return cut()
+    except RecordTooLarge as exc:
+        return str(exc)
+
+
+def chunk_bytes_every_read_size(data: bytes, target: int):
+    """``chunk_bytes`` at every read size in READ_SIZES, which must agree on
+    the chunks or on the RecordTooLarge they raise."""
+    outcomes = []
+    for n in READ_SIZES:
+        with mock.patch.object(rowstream.chunker, "_READ_SIZE", n):
+            outcomes.append(
+                outcome(lambda: chunk_bytes(data, target_bytes=target))
+            )
+    assert all(o == outcomes[0] for o in outcomes), outcomes
+    if isinstance(outcomes[0], str):
+        raise RecordTooLarge(outcomes[0])
+    return outcomes[0]
 
 
 def test_window_rule_worked_example():
@@ -86,9 +118,9 @@ def test_chunk_invariants(lengths, target, terminated):
     data = make_records(lengths, terminated)
     if over_cap(lengths, target):
         with pytest.raises(RecordTooLarge):
-            chunk_bytes(data, target_bytes=target)
+            chunk_bytes_every_read_size(data, target)
         return
-    chunks = chunk_bytes(data, target_bytes=target)
+    chunks = chunk_bytes_every_read_size(data, target)
     assert b"".join(chunks) == data
     for c in chunks[:-1]:
         assert c.endswith(b"\n")
@@ -140,24 +172,69 @@ def test_split_equals_sequential(tmp_path_factory, lengths, target, parallel,
 
 def test_hard_cap_exact_boundary():
     # target 1 caps a record at 8 bytes
-    assert chunk_bytes(b"ab\n" + b"x" * 8 + b"\ncd\n", target_bytes=1)
+    assert chunk_bytes_every_read_size(b"ab\n" + b"x" * 8 + b"\ncd\n", 1)
     with pytest.raises(RecordTooLarge):
-        chunk_bytes(b"ab\n" + b"x" * 9 + b"\ncd\n", target_bytes=1)
+        chunk_bytes_every_read_size(b"ab\n" + b"x" * 9 + b"\ncd\n", 1)
+    # target 5 caps it at 40; the record crosses byte 4, the end of window
+    # 0, and starts after a short record in the same chunk
+    assert chunk_bytes_every_read_size(b"aaa\n" + b"x" * 40 + b"\n", 5)
+    with pytest.raises(RecordTooLarge):
+        chunk_bytes_every_read_size(b"aaa\n" + b"x" * 41 + b"\n", 5)
 
 
 def test_hard_cap_catches_interior_record():
     # the over-long record begins and ends inside a single read block
     data = b"a\n" + b"x" * 50 + b"\n" + b"b\n" * 100
     with pytest.raises(RecordTooLarge):
-        chunk_bytes(data, target_bytes=4)
+        chunk_bytes_every_read_size(data, 4)
 
 
 def test_hard_cap_unterminated_tail():
     with pytest.raises(RecordTooLarge):
-        chunk_bytes(b"ok\n" + b"y" * 40, target_bytes=2)
+        chunk_bytes_every_read_size(b"ok\n" + b"y" * 40, 2)
 
 
 def test_hard_cap_defaults_to_eight_targets():
-    assert chunk_bytes(b"x" * 80 + b"\n", target_bytes=10) == [b"x" * 80 + b"\n"]
+    record = b"x" * 80 + b"\n"
+    assert chunk_bytes_every_read_size(record, 10) == [record]
     with pytest.raises(RecordTooLarge):
-        chunk_bytes(b"x" * 81 + b"\n", target_bytes=10)
+        chunk_bytes_every_read_size(b"x" * 81 + b"\n", 10)
+
+
+@settings(max_examples=300, deadline=None)
+# a record exactly at the cap that starts after a short one, inside the
+# window whose last byte it crosses
+@example(lengths=[3, 40], target=5, terminated=True, read_size=1, cuts=[],
+         prefix=b"")
+@given(
+    lengths=st.lists(st.integers(min_value=0, max_value=40), max_size=30),
+    target=st.integers(min_value=1, max_value=8),
+    terminated=st.booleans(),
+    read_size=st.sampled_from(READ_SIZES),
+    cuts=st.lists(st.integers(min_value=0, max_value=1000), max_size=4),
+    prefix=st.binary(max_size=4),
+)
+def test_window_tiling_equals_one_pass(lengths, target, terminated, read_size,
+                                       cuts, prefix):
+    # split workers call _raw_chunks on a handle that stands past ``prefix``,
+    # each over its own run of windows; in window order, their chunks are the
+    # chunks of one pass, and the first RecordTooLarge is the same one
+    data = make_records(lengths, terminated)
+    n_windows = -(-len(data) // target)
+    edges = sorted({0, n_windows, *(c % (n_windows + 1) for c in cuts)})
+    cfg = ChunkerConfig(target)
+
+    def tiled():
+        chunks = []
+        for lo, hi in zip(edges, edges[1:]):
+            stream = io.BytesIO(prefix + data)
+            stream.seek(len(prefix))
+            chunks += rowstream.chunker._raw_chunks(
+                stream, cfg, lo * target, hi * target
+            )
+        return chunks
+
+    with mock.patch.object(rowstream.chunker, "_READ_SIZE", read_size):
+        got = outcome(tiled)
+    assert got == outcome(lambda: chunk_bytes(data, target_bytes=target))
+    assert isinstance(got, str) == over_cap(lengths, target)
