@@ -20,7 +20,6 @@ from .errors import (
     NotSeekable,
     OutOfRange,
     RaggedInput,
-    RaggedSample,
     RecordTooLarge,
     RowstreamError,
     SchemaError,
@@ -50,7 +49,6 @@ from .model_matrix import (
     NumericTerm,
     TermSpec,
     expand,
-    normalize_hhmm,
     normalize_hhmm_column,
     spec_names,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "OutOfRange",
     "ParseReport",
     "RaggedInput",
-    "RaggedSample",
     "RecordTooLarge",
     "RegressionFit",
     "RowstreamError",
@@ -118,7 +115,6 @@ __all__ = [
     "infer_schema",
     "iter_chunks",
     "merge",
-    "normalize_hhmm",
     "normalize_hhmm_column",
     "parse_frame",
     "parse_frame_with_header",

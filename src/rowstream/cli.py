@@ -21,6 +21,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import (
     StrictViolation,
 )
 from .frame import (
+    _SAMPLE_RECORDS,
     ParseReport,
     Schema,
     _header_names,
@@ -119,7 +121,7 @@ def _default_chunker() -> ChunkerConfig:
 
 
 def _resolve_schema(data: bytes, schema_arg, sep, header, columns) -> Schema:
-    """The schema of the input whose first data-bearing chunk is ``data``.
+    """The schema of the input whose leading records are ``data``.
 
     Types are given or inferred from the records after any header.  Names
     come from the header, or are V1, V2, ... over the non-skipped columns.
@@ -130,7 +132,7 @@ def _resolve_schema(data: bytes, schema_arg, sep, header, columns) -> Schema:
         sample = _skip_records(data, 1)[0] if header else data
         if not sample:
             raise SchemaError(
-                "first chunk holds no data records to infer from; "
+                "input holds no data records to infer from; "
                 "pass an explicit schema"
             )
         types = infer_schema(sample, field_sep=sep).types
@@ -155,23 +157,32 @@ def _parse_stream(path, schema_arg, sep, header, skip, strict, cfg,
                   columns=None):
     """Stream a file as parsed frames: yields (schema, frame, report).
 
-    The first data-bearing chunk, after ``skip`` leading records, resolves
-    the schema (see :func:`_resolve_schema`) and loses its header record;
-    every chunk is then parsed with that schema.
+    After ``skip`` leading records, the leading chunks are held until they
+    contain the header and ``_SAMPLE_RECORDS`` records for ``infer``, or one
+    record for a given schema, or the input ends.  Their join resolves the
+    schema (see :func:`_resolve_schema`), so the schema does not depend on
+    the chunk size.  The header record is dropped, and every chunk, held or
+    not, is then parsed on its own with that schema.
     """
-    remaining_skip = skip
-    schema = None
-    for chunk in iter_chunks(path, cfg):
+    need = _SAMPLE_RECORDS + header if schema_arg == "infer" else 1
+    held, n_held = [], 0
+    chunks = iter_chunks(path, cfg)
+    for chunk in chunks:
         data = chunk.data
-        if schema is None:
-            if remaining_skip:
-                data, dropped = _skip_records(data, remaining_skip)
-                remaining_skip -= dropped
-            if not data:
-                continue
-            schema = _resolve_schema(data, schema_arg, sep, header, columns)
-            if header:
-                data = _skip_records(data, 1)[0]
+        if skip:
+            data, dropped = _skip_records(data, skip)
+            skip -= dropped
+        if data:
+            held.append(data)
+            n_held += data.count(b"\n")
+            if n_held >= need:
+                break
+    if not held:
+        return
+    schema = _resolve_schema(b"".join(held), schema_arg, sep, header, columns)
+    if header:
+        held[0] = _skip_records(held[0], 1)[0]
+    for data in chain(held, (chunk.data for chunk in chunks)):
         frame, report = parse_frame(data, schema, strict=strict)
         yield schema, frame, report
 

@@ -24,12 +24,9 @@ class HeaderArityMismatch(SchemaError):
     """Header field count differs from the schema length."""
 
 
-class RaggedSample(RowstreamError):
-    """Sampled records disagree on field count during schema inference."""
-
-
 class RaggedInput(RowstreamError):
-    """Records disagree on field count where a fixed shape is required."""
+    """Records disagree on field count where a fixed shape is required:
+    a matrix, or the sample a schema is inferred from."""
 
 
 class SeparatorCollision(RowstreamError):

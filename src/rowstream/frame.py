@@ -23,7 +23,7 @@ from ._coerce import ColumnType, convert_column, is_null_token, parse_field_ex
 from .errors import (
     HeaderArityMismatch,
     MissingColumn,
-    RaggedSample,
+    RaggedInput,
     SchemaError,
     StrictViolation,
 )
@@ -43,6 +43,9 @@ __all__ = [
     "tokenize",
     "split_quoted",
 ]
+
+# records after any header that infer_schema samples
+_SAMPLE_RECORDS = 1000
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,6 @@ class ParseReport:
     coercion failures (null tokens are not failures)."""
 
     n_records: int = 0
-    n_skipped: int = 0
     short_rows: int = 0
     long_rows: int = 0
     column_failures: dict = field(default_factory=dict)
@@ -165,7 +167,6 @@ class ParseReport:
             failures[name] = failures.get(name, 0) + n
         return ParseReport(
             self.n_records + other.n_records,
-            self.n_skipped + other.n_skipped,
             self.short_rows + other.short_rows,
             self.long_rows + other.long_rows,
             failures,
@@ -188,7 +189,7 @@ def _skip_records(chunk: bytes, n: int):
     """Drop up to ``n`` leading records; returns ``(rest, n_dropped)``.
     An unterminated final record counts as a record."""
     if n < 0:
-        raise ValueError("skip_lines must be non-negative")
+        raise ValueError("skip must be non-negative")
     dropped = 0
     pos = 0
     while dropped < n and pos < len(chunk):
@@ -201,20 +202,16 @@ def _skip_records(chunk: bytes, n: int):
 
 
 def tokenize(chunk: bytes, field_sep: bytes = b",", quote: bytes | None = None,
-             skip: int = 0, limit: int = -1):
+             *, limit: int = -1):
     """Split a chunk into rows of raw fields.
 
-    Returns ``(rows, quoted, n_skipped)``.  ``skip`` drops leading records
-    first (``n_skipped`` says how many the chunk held); ``limit``, when not
-    negative, keeps at most that many of the records after them, and the
-    rest of the chunk is not split.  The empty tail after a final newline is
-    not a record.  Without ``quote``, ``quoted`` is None; with it, each row
-    has a parallel list of flags from :func:`split_quoted`.
+    Returns ``(rows, quoted)``.  ``limit``, when not negative, keeps at most
+    that many leading records, and the rest of the chunk is not split.  The
+    empty tail after a final newline is not a record.  Without ``quote``,
+    ``quoted`` is None; with it, each row has a parallel list of flags from
+    :func:`split_quoted`.
     """
     check_layout(field_sep, quote)
-    n_skipped = 0
-    if skip:
-        chunk, n_skipped = _skip_records(chunk, skip)
     records = chunk.split(b"\n", limit)
     # drop the empty tail after a final LF, or the unsplit rest past limit
     if records[-1] == b"" or len(records) > limit >= 0:
@@ -222,9 +219,9 @@ def tokenize(chunk: bytes, field_sep: bytes = b",", quote: bytes | None = None,
     if b"\r" in chunk:
         records = [r[:-1] if r.endswith(b"\r") else r for r in records]
     if quote is None:
-        return [r.split(field_sep) for r in records], None, n_skipped
+        return [r.split(field_sep) for r in records], None
     pairs = [split_quoted(r, field_sep, quote) for r in records]
-    return [p[0] for p in pairs], [p[1] for p in pairs], n_skipped
+    return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
 def split_quoted(record: bytes, sep: bytes, quote: bytes):
@@ -274,7 +271,19 @@ def split_quoted(record: bytes, sep: bytes, quote: bytes):
     return fields, flags
 
 
-def _build_frame(rows, qrows, schema: Schema, bulk: bool, n_skipped: int):
+def _uniform_arity(rows) -> int:
+    """The field count every row shares (0 without rows); RaggedInput
+    names the first row that differs."""
+    arity = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != arity:
+            raise RaggedInput(
+                f"record {i} has {len(row)} fields, record 0 has {arity}"
+            )
+    return arity
+
+
+def _build_frame(rows, qrows, schema: Schema, bulk: bool):
     n_cols = len(schema.types)
     short = long_ = 0
     for idx, row in enumerate(rows):
@@ -302,7 +311,7 @@ def _build_frame(rows, qrows, schema: Schema, bulk: bool, n_skipped: int):
         columns.append(Column(names[out_i], ctype, values, mask))
         failures[names[out_i]] = fails
         out_i += 1
-    report = ParseReport(len(rows), n_skipped, short, long_, failures)
+    report = ParseReport(len(rows), short, long_, failures)
     return Frame(columns), report
 
 
@@ -318,20 +327,15 @@ def _enforce_strict(report: ParseReport):
         raise StrictViolation(", ".join(problems))
 
 
-def parse_frame(chunk: bytes, schema: Schema, skip_lines: int = 0,
-                strict: bool = False):
+def parse_frame(chunk: bytes, schema: Schema, *, strict: bool = False):
     """Parse a record-aligned chunk into a Frame.
 
-    Returns ``(frame, report)``.  ``skip_lines`` drops leading records (a
-    chunk holding fewer records than that yields an empty frame and reports
-    how many were actually skipped, so callers can carry the remainder to the
-    next chunk).  With ``strict=True`` any coercion failure or ragged row
-    raises StrictViolation instead of being counted.
+    Returns ``(frame, report)``.  With ``strict=True`` any coercion failure
+    or ragged row raises StrictViolation instead of being counted.
     """
-    rows, quoted, skipped = tokenize(chunk, schema.field_sep, schema.quote,
-                                     skip_lines)
+    rows, quoted = tokenize(chunk, schema.field_sep, schema.quote)
     bulk = b"\x00" not in chunk
-    frame, report = _build_frame(rows, quoted, schema, bulk, skipped)
+    frame, report = _build_frame(rows, quoted, schema, bulk)
     if strict:
         _enforce_strict(report)
     return frame, report
@@ -363,28 +367,21 @@ def parse_frame_with_header(chunk: bytes, schema: Schema, strict: bool = False):
     return parse_frame(_skip_records(chunk, 1)[0], named, strict=strict)
 
 
-def infer_schema(sample: bytes, max_records: int = 1000,
-                 field_sep: bytes = b",") -> Schema:
-    """Guess column types from the leading records of a sample.
+def infer_schema(sample: bytes, field_sep: bytes = b",") -> Schema:
+    """Guess column types from the first ``_SAMPLE_RECORDS`` records of a
+    sample; the rest of it is not split.
 
     Candidate order per column is Logical, Integer, Real, then Character;
     null tokens are ignored and an all-null column becomes Character.  The
     Bytes, Complex, and Timestamp types are never inferred.  Quote handling
-    is not applied while sampling, and only ``max_records`` records are
-    split.
+    is not applied while sampling, and sampled records that disagree on
+    field count raise RaggedInput.
     """
-    rows, _, _ = tokenize(sample, field_sep, limit=max_records)
+    rows = tokenize(sample, field_sep, limit=_SAMPLE_RECORDS)[0]
     if not rows:
         raise SchemaError("cannot infer a schema from an empty sample")
-    n_cols = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise RaggedSample(
-                f"record {i} has {len(row)} fields, record 0 has {n_cols}"
-            )
-    types = []
-    for j in range(n_cols):
-        types.append(_infer_column([row[j] for row in rows]))
+    types = [_infer_column([row[j] for row in rows])
+             for j in range(_uniform_arity(rows))]
     return Schema(types=tuple(types), field_sep=field_sep)
 
 

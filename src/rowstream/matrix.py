@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._coerce import ColumnType, convert_column
-from .errors import RaggedInput, SchemaError, StrictViolation
-from .frame import tokenize
+from .errors import SchemaError
+from .frame import _uniform_arity, tokenize
 
 __all__ = ["DenseMatrix", "parse_matrix", "MATRIX_TYPES"]
 
@@ -28,7 +28,7 @@ MATRIX_TYPES = (
 
 @dataclass
 class DenseMatrix:
-    """A 2-D homogeneous matrix with optional row/column names.
+    """A 2-D homogeneous matrix with optional column names.
 
     Nulls have no mask here; they sit in the data as the type's
     null-representation (NaN, 0, False, NaN+NaNi, or None for Character).
@@ -36,7 +36,6 @@ class DenseMatrix:
 
     values: np.ndarray
     col_names: list | None = None
-    row_names: list | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -45,10 +44,6 @@ class DenseMatrix:
         if self.col_names is not None and len(self.col_names) != self.n_cols:
             raise SchemaError(
                 f"{len(self.col_names)} column names for {self.n_cols} columns"
-            )
-        if self.row_names is not None and len(self.row_names) != self.n_rows:
-            raise SchemaError(
-                f"{len(self.row_names)} row names for {self.n_rows} rows"
             )
 
     @property
@@ -60,38 +55,18 @@ class DenseMatrix:
         return self.values.shape[1]
 
 
-def parse_matrix(
-    chunk: bytes,
-    elem_type: ColumnType,
-    field_sep: bytes = b",",
-    row_names_col: bool = False,
-    skip_lines: int = 0,
-    strict: bool = False,
-):
+def parse_matrix(chunk: bytes, elem_type: ColumnType, field_sep: bytes = b","):
     """Parse a record-aligned chunk into one DenseMatrix.
 
-    Every record (after ``skip_lines``) must have the same field count, or
-    RaggedInput is raised.  With ``row_names_col`` the first field of each
-    record becomes its row name and is excluded from the data.  Returns
-    ``(matrix, n_failures)`` where the count covers malformed non-null
-    fields (rendered as the type's null-representation); ``strict=True``
-    turns a non-zero count into StrictViolation.  An empty chunk gives a
-    0x0 matrix.
+    Every record must have the same field count, or RaggedInput is raised.
+    Returns ``(matrix, n_failures)`` where the count covers malformed
+    non-null fields (rendered as the type's null-representation).  An empty
+    chunk gives a 0x0 matrix.
     """
     if elem_type not in MATRIX_TYPES:
         raise SchemaError(f"matrices cannot hold {elem_type.value} elements")
-    rows, _, _ = tokenize(chunk, field_sep, skip=skip_lines)
-    arity = len(rows[0]) if rows else 0
-    for i, row in enumerate(rows):
-        if len(row) != arity:
-            raise RaggedInput(
-                f"record {i} has {len(row)} fields, record 0 has {arity}"
-            )
-    row_names = None
-    if row_names_col and rows:
-        row_names = [r[0].decode("utf-8", "surrogateescape") for r in rows]
-        rows = [r[1:] for r in rows]
-        arity -= 1
+    rows = tokenize(chunk, field_sep)[0]
+    arity = _uniform_arity(rows)
     flat = []
     for row in rows:
         flat.extend(row)
@@ -102,9 +77,4 @@ def parse_matrix(
         data[:] = values
     else:
         data = values
-    matrix = DenseMatrix(
-        data.reshape(len(rows), arity), row_names=row_names
-    )
-    if strict and failures:
-        raise StrictViolation(f"{failures} coercion failures")
-    return matrix, failures
+    return DenseMatrix(data.reshape(len(rows), arity)), failures

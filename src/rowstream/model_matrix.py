@@ -24,7 +24,6 @@ __all__ = [
     "FactorTerm",
     "TermSpec",
     "ExpandReport",
-    "normalize_hhmm",
     "normalize_hhmm_column",
     "spec_names",
     "expand",
@@ -70,11 +69,11 @@ Term = Union[NumericTerm, FactorTerm]
 
 @dataclass(frozen=True)
 class TermSpec:
-    """Response column, ordered regressor terms, and an intercept switch."""
+    """Response column and ordered regressor terms; every design also
+    starts with an intercept."""
 
     response: str
     terms: tuple
-    intercept: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -96,8 +95,7 @@ def spec_names(spec: TermSpec) -> list:
     Independent of any data, so checkpoint sidecars can be written before the
     first row is seen.
     """
-    names = ["(Intercept)"] if spec.intercept else []
-    names.append(spec.response)
+    names = ["(Intercept)", spec.response]
     for term in spec.terms:
         if isinstance(term, NumericTerm):
             names.append(term.column)
@@ -108,37 +106,30 @@ def spec_names(spec: TermSpec) -> list:
     return names
 
 
-def normalize_hhmm(value):
-    """Convert an HHMM-style clock integer to minutes after midnight.
-
-    The value is read as a 4-digit zero-padded clock: the leading two digits
-    are hours, the trailing two minutes, so 130 means 01:30 and maps to 90.
-    Null propagates; values outside [0, 9999] break the 4-digit contract and
-    raise OutOfRange.  Readings of 2400 and beyond pass through the same
-    arithmetic (real-world departure data contains them).
-    """
-    if value is None:
-        return None
-    v = int(value)
-    if v < 0 or v > 9999:
-        raise OutOfRange(f"clock reading {v} outside [0, 9999]")
-    return (v // 100) * 60 + v % 100
-
-
 def normalize_hhmm_column(frame: Frame, column: str) -> Frame:
-    """Return a frame with one Integer/Real column rewritten by
-    :func:`normalize_hhmm`; other columns are shared, not copied."""
+    """Return a frame with one Integer/Real column of HHMM clock readings
+    rewritten as minutes after midnight; other columns are shared, not
+    copied.
+
+    A reading is a 4-digit zero-padded clock: the leading two digits are
+    hours, the trailing two minutes, so 130 means 01:30 and maps to 90.
+    Finite, non-null readings outside [0, 9999] break the 4-digit contract
+    and raise OutOfRange.  Readings of 2400 and beyond pass through the same
+    arithmetic (real-world departure data contains them), and a NaN or
+    infinite reading becomes NaN, which :func:`expand` drops as a null.
+    """
     col = frame.column(column)
     if col.ctype not in (ColumnType.INTEGER, ColumnType.REAL):
         raise SchemaError(
             f"column {column!r} is {col.ctype.value}, need integer or real"
         )
     values = col.values
-    live = values[~col.mask]
-    if len(live) and (np.nanmin(live) < 0 or np.nanmax(live) > 9999):
-        bad = live[(live < 0) | (live > 9999)][0]
-        raise OutOfRange(f"clock reading {bad} outside [0, 9999]")
-    new_values = (values // 100) * 60 + values % 100
+    live = values[~col.mask & np.isfinite(values)]
+    bad = live[(live < 0) | (live > 9999)]
+    if len(bad):
+        raise OutOfRange(f"clock reading {bad[0]} outside [0, 9999]")
+    with np.errstate(invalid="ignore"):
+        new_values = (values // 100) * 60 + values % 100
     columns = [
         Column(c.name, c.ctype, new_values, c.mask.copy()) if c.name == column else c
         for c in frame.columns
@@ -168,7 +159,7 @@ def _factor_keys(col: Column) -> list:
 def expand(frame: Frame, spec: TermSpec, lenient_levels: bool = False):
     """Expand a frame into a dense model matrix.
 
-    Output columns: ``(Intercept)`` (when requested), the response, then each
+    Output columns: ``(Intercept)``, the response, then each
     term in spec order — numeric terms as-is, factor terms as treatment-coded
     indicators named column+level for levels after the baseline.  Rows with a
     null in any used column are dropped (listwise), with the count reported;
@@ -216,12 +207,9 @@ def expand(frame: Frame, spec: TermSpec, lenient_levels: bool = False):
     m = len(kept)
     names = spec_names(spec)
     X = np.zeros((m, len(names)), dtype=np.float64)
-    pos = 0
-    if spec.intercept:
-        X[:, 0] = 1.0
-        pos = 1
-    X[:, pos] = resp_values[kept]
-    pos += 1
+    X[:, 0] = 1.0
+    X[:, 1] = resp_values[kept]
+    pos = 2
     for term, values, code in term_cols:
         if code is None:
             X[:, pos] = values[kept]

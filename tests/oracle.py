@@ -69,8 +69,7 @@ def _naive_split_fields(record: bytes, sep: int, quote):
     return fields, flags
 
 
-def naive_parse_frame(chunk: bytes, schema: Schema, skip_lines: int = 0,
-                      strict: bool = False):
+def naive_parse_frame(chunk: bytes, schema: Schema, strict: bool = False):
     """Parse with the per-character reference implementation.
 
     Same contract and same results as :func:`rowstream.frame.parse_frame`,
@@ -85,14 +84,11 @@ def naive_parse_frame(chunk: bytes, schema: Schema, skip_lines: int = 0,
     acc_values = [[] for _ in out_types]
     acc_mask = [[] for _ in out_types]
     failures = [0] * len(out_types)
-    state = {"records": 0, "skipped": 0, "short": 0, "long": 0}
+    state = {"records": 0, "short": 0, "long": 0}
 
     def take_record(raw: bytearray):
         if raw.endswith(b"\r"):
             del raw[-1]
-        if state["skipped"] < skip_lines:
-            state["skipped"] += 1
-            return
         fields, flags = _naive_split_fields(bytes(raw), sep, quote)
         k = len(fields)
         if k < n_cols:
@@ -140,8 +136,7 @@ def naive_parse_frame(chunk: bytes, schema: Schema, skip_lines: int = 0,
         columns.append(Column(names[out_j], ctype, values, mask))
         column_failures[names[out_j]] = failures[out_j]
     report = ParseReport(
-        state["records"], state["skipped"], state["short"], state["long"],
-        column_failures,
+        state["records"], state["short"], state["long"], column_failures,
     )
     if strict:
         _enforce_strict(report)

@@ -31,7 +31,7 @@ from rowstream import (
     expand,
     frames_equal,
     iter_chunks,
-    normalize_hhmm,
+    normalize_hhmm_column,
     parse_frame,
     read_sidecar,
     solve_ne,
@@ -300,8 +300,9 @@ def test_07_pipeline_scheduling_and_speedup(tmp_path):
 
 
 def test_08_expansion_matches_one_hot_oracle():
-    assert normalize_hhmm(130) == 90
-    assert normalize_hhmm(2359) == 1439
+    clock, _ = parse_frame(b"130\n2359\n", Schema((ColumnType.INTEGER,)))
+    minutes = normalize_hhmm_column(clock, "V1").column("V1").values
+    assert minutes.tolist() == [90, 1439]
 
     day_levels = tuple(str(d) for d in range(1, 8))
     spec = TermSpec(

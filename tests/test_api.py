@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rowstream
@@ -22,16 +23,52 @@ def test_every_public_name_resolves():
     assert len(set(rowstream.__all__)) == len(rowstream.__all__)
 
 
-def test_benchmark_imports_resolve(monkeypatch):
-    # perfbench/ is frozen between benchmark changes; a name it imports from
-    # rowstream must not disappear before the benchmark changes too
+def test_benchmark_imports_resolve(monkeypatch, tmp_path):
+    # perfbench/ is frozen between benchmark changes; every rowstream call
+    # its in-process runs make must still bind, and give what its checks
+    # expect, before the benchmark changes too
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     try:
-        importlib.import_module("inprocess")
+        inprocess = importlib.import_module("inprocess")
+        workloads = importlib.import_module("workloads")
+        _run_benchmark_calls(inprocess, workloads, tmp_path)
     finally:
         for name in ("inprocess", "workloads"):
             sys.modules.pop(name, None)
-    assert hasattr(rowstream.NormalEqAccumulator, "zero")
+
+
+def _run_benchmark_calls(inprocess, workloads, tmp_path):
+    target = 4096
+    tracer = inprocess.NullTracer()
+    air = workloads.airline(7, 300)
+    csv, ckpt = tmp_path / "air.csv", tmp_path / "air.mm"
+    csv.write_bytes(air.csv)
+    mm = inprocess.run_mm(tracer, csv, ckpt, target)
+    assert mm["counts"] == (300, len(air.design), air.n_dropped_null, 0)
+    written, _ = rowstream.parse_matrix(ckpt.read_bytes(),
+                                        rowstream.ColumnType.REAL)
+    assert np.array_equal(written.values, air.design)
+    coefs = set()
+    for mode in ("seq", "pipeline", "split"):
+        fit = inprocess.run_fit(tracer, ckpt, mode, target)
+        assert (fit["n_rows"], fit["failures"]) == (len(air.design), 0)
+        coefs.add(repr(fit["fit"].coef))
+    assert len(coefs) == 1
+
+    dirty = workloads.dirty(7, 300)
+    csv, out = tmp_path / "dirty.csv", tmp_path / "dirty.out"
+    csv.write_bytes(dirty.csv)
+    parsed = inprocess.run_parse(tracer, csv, out, workloads.MIXED_SCHEMA,
+                                 target)
+    assert out.read_bytes() == dirty.expected_out
+    report = parsed["report"]
+    assert (report.n_records, report.column_failures, report.short_rows,
+            report.long_rows) == (300, dirty.failures, dirty.short_rows,
+                                  dirty.long_rows)
+    probe = inprocess.probe_parse(csv, workloads.MIXED_SCHEMA, target)
+    assert set(probe) == {"tokenize", "coerce"}
+    assert set(probe["coerce"]) == {"integer", "real", "character",
+                                    "logical", "timestamp"}
 
 
 def test_readme_library_snippet_runs(tmp_path, capsys):

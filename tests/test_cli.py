@@ -1,11 +1,20 @@
+import contextlib
+import io
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rowstream import read_sidecar, write_sidecar
 from rowstream.cli import main
+from rowstream.frame import _SAMPLE_RECORDS
 
 
 def run(argv, capsysbinary):
@@ -98,6 +107,77 @@ def test_parse_skip_and_sep(tmp_path, capsysbinary):
     )
     assert code == 0
     assert out == b"1\t2\n"
+
+
+def _parse_at(argv, target):
+    """Run ``parse ... --out``: (exit code, output bytes or None, stderr
+    without the throughput line), with CHUNK_TARGET_BYTES set to ``target``
+    or unset for None."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ), contextlib.redirect_stderr(err):
+        os.environ.pop("CHUNK_TARGET_BYTES", None)
+        if target is not None:
+            os.environ["CHUNK_TARGET_BYTES"] = str(target)
+        out = Path(tmp, "out.csv")
+        code = main(argv + ["--out", str(out)])
+        written = out.read_bytes() if out.exists() else None
+    lines = [line for line in err.getvalue().splitlines()
+             if not line.startswith("throughput:")]
+    return code, written, lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.sampled_from(["1", "22", "x", "NA", ""]),
+                           min_size=1, max_size=2), max_size=8),
+    crlf=st.booleans(),
+    final_newline=st.booleans(),
+    k=st.integers(0, 9),
+    header=st.booleans(),
+    infer=st.booleans(),
+    target=st.sampled_from([None, *range(1, 17)]),
+)
+@example(rows=[["a", "b"], ["1", "x"], ["22", "y"], ["3", "z"]], crlf=True,
+         final_newline=False, k=2, header=True, infer=True, target=3)
+def test_parse_skip_equals_parse_of_the_rest(rows, crlf, final_newline, k,
+                                             header, infer, target):
+    # --skip k at any chunk size acts as if the first k records were absent
+    eol = b"\r\n" if crlf else b"\n"
+    records = [",".join(r).encode() for r in rows]
+
+    def text(recs):
+        return eol.join(recs) + (eol if recs and final_newline else b"")
+
+    flags = ["--schema", "infer" if infer else "i,c"]
+    flags += ["--header"] if header else []
+    with tempfile.TemporaryDirectory() as tmp:
+        whole, rest = Path(tmp, "whole.csv"), Path(tmp, "rest.csv")
+        whole.write_bytes(text(records))
+        rest.write_bytes(text(records[k:]))
+        got = _parse_at(["parse", str(whole), "--skip", str(k)] + flags,
+                        target)
+        want = _parse_at(["parse", str(rest)] + flags, None)
+    assert got == want
+
+
+def test_parse_infer_does_not_depend_on_chunk_size(tmp_path):
+    cases = [
+        (b"alpha,beta\n1,2\n3,4\n", True, "i,i"),
+        (b"1\n2\n3\nx\n", False, "c"),
+        # the sample is the first _SAMPLE_RECORDS records after the header
+        (b"h\n" + b"1\n" * _SAMPLE_RECORDS + b"x\n", True, "i"),
+        (b"h\n" + b"1\n" * (_SAMPLE_RECORDS - 1) + b"x\n", True, "c"),
+    ]
+    for data, header, letters in cases:
+        src = tmp_path / "s.csv"
+        src.write_bytes(data)
+        argv = ["parse", str(src), "--schema", "infer"]
+        argv += ["--header"] if header else []
+        results = [_parse_at(argv, target) for target in (2, 8, None)]
+        assert results[0][0] == 0, results[0]
+        assert f"inferred schema: {letters}" in results[0][2]
+        assert results[1:] == results[:1] * 2
 
 
 def test_parse_strict_exit_two(tmp_path, capsysbinary):
@@ -370,8 +450,13 @@ def test_console_script_entry_point(tmp_path):
     assert b"rows: 1" in proc.stderr
 
 
-@pytest.mark.parametrize("bad", [b"nan", b"inf", b"-Inf"])
-def test_mm_drops_non_finite_rows_so_fit_solves(tmp_path, capsysbinary, bad):
+@pytest.mark.parametrize("bad,term", [
+    pytest.param(bad, term, id=f"{prefix}{bad.decode()}")
+    for prefix, term in (("", "--numeric"), ("hhmm-", "--hhmm"))
+    for bad in (b"nan", b"inf", b"-Inf")
+])
+def test_mm_drops_non_finite_rows_so_fit_solves(tmp_path, capsysbinary, bad,
+                                                term):
     clean = b"y,x\n1,2\n3,5\n4,7\n5,11\n"
     dirty = b"y,x\n1,2\n2,%s\n3,5\n%s,6\n4,7\n5,11\n" % (bad, bad)
     fits = []
@@ -380,7 +465,7 @@ def test_mm_drops_non_finite_rows_so_fit_solves(tmp_path, capsysbinary, bad):
         src.write_bytes(data)
         ckpt = tmp_path / f"{name}.mm"
         code, _, err = run(["mm", str(src), "--out", str(ckpt), "--header",
-                            "--response", "y", "--numeric", "x"], capsysbinary)
+                            "--response", "y", term, "x"], capsysbinary)
         assert code == 0, err
         dropped = 2 if name == "dirty" else 0
         assert f"{dropped} dropped (null)" in err

@@ -7,7 +7,7 @@ from rowstream import (
     ColumnType,
     Frame,
     HeaderArityMismatch,
-    RaggedSample,
+    RaggedInput,
     Schema,
     SchemaError,
     StrictViolation,
@@ -20,6 +20,7 @@ from rowstream import (
     tokenize,
 )
 from rowstream._coerce import convert_column, parse_field_ex
+from rowstream.frame import _SAMPLE_RECORDS
 
 from oracle import _naive_split_fields, naive_parse_frame
 
@@ -175,13 +176,6 @@ def test_short_rows_null_pad_long_rows_truncate():
     assert report.long_rows == 1
 
 
-def test_skip_lines():
-    frame, report = parse_frame(b"junk\nmore junk\n1\n", Schema((I,)), skip_lines=2)
-    assert frame.column("V1").values.tolist() == [1]
-    assert report.n_records == 1
-    assert report.n_skipped == 2
-
-
 def test_empty_chunk_gives_empty_frame():
     frame, report = parse_frame(b"", Schema((I, C)))
     assert frame.n_rows == 0
@@ -268,7 +262,7 @@ def test_infer_schema_examples():
 
 
 def test_infer_schema_ragged_sample():
-    with pytest.raises(RaggedSample):
+    with pytest.raises(RaggedInput):
         infer_schema(b"1,2\n3\n")
 
 
@@ -278,9 +272,9 @@ def test_infer_schema_empty_sample():
 
 
 def test_infer_schema_caps_sample_size():
-    sample = b"1\n" * 50 + b"oops\n"
-    assert infer_schema(sample, max_records=50).types == (I,)
-    assert infer_schema(sample, max_records=51).types == (C,)
+    n = _SAMPLE_RECORDS
+    assert infer_schema(b"1\n" * n + b"oops\n").types == (I,)
+    assert infer_schema(b"1\n" * (n - 1) + b"oops\n").types == (C,)
 
 
 def test_concat_matches_single_parse():

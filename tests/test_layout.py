@@ -1,8 +1,8 @@
-"""The record layout: one tokenizer, one separator check, one skip rule.
+"""The record layout: one tokenizer and one separator check.
 
 ``tokenize`` must agree with the per-character reference parser on any
-chunk, whatever the line endings, quoting, raggedness and skip count, and
-every entry point that takes a separator must reject the same bad layouts.
+chunk, whatever the line endings, quoting and raggedness, and every entry
+point that takes a separator must reject the same bad layouts.
 """
 
 import numpy as np
@@ -39,28 +39,25 @@ _CELLS = [b"1", b"2.5", b"NA", b"", b'"a,b"', b'"q""q"', b'"', b"\r",
     crlf=st.booleans(),
     final_newline=st.booleans(),
     quote=st.sampled_from([None, b'"']),
-    skip=st.integers(0, 4),
     limit=st.integers(0, 9),
     types=st.lists(st.sampled_from(list(ColumnType)), min_size=1, max_size=4),
 )
 def test_parse_frame_matches_naive_reference(rows, crlf, final_newline, quote,
-                                             skip, limit, types):
+                                             limit, types):
     eol = b"\r\n" if crlf else b"\n"
     chunk = eol.join(b",".join(r) for r in rows)
     if rows and final_newline:
         chunk += eol
     schema = Schema(tuple(types), quote=quote)
-    frame, report = parse_frame(chunk, schema, skip_lines=skip)
-    ref_frame, ref_report = naive_parse_frame(chunk, schema, skip_lines=skip)
+    frame, report = parse_frame(chunk, schema)
+    ref_frame, ref_report = naive_parse_frame(chunk, schema)
     assert frames_equal(frame, ref_frame)
     assert report == ref_report
 
-    all_rows, all_quoted, n_skipped = tokenize(chunk, quote=quote, skip=skip)
-    some_rows, some_quoted, m_skipped = tokenize(chunk, quote=quote,
-                                                 skip=skip, limit=limit)
+    all_rows, all_quoted = tokenize(chunk, quote=quote)
+    some_rows, some_quoted = tokenize(chunk, quote=quote, limit=limit)
     assert some_rows == all_rows[:limit]
     assert some_quoted == (None if quote is None else all_quoted[:limit])
-    assert m_skipped == n_skipped
 
 
 _LAYOUT_USERS = {

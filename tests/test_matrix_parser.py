@@ -6,7 +6,6 @@ from rowstream import (
     RaggedInput,
     Schema,
     SchemaError,
-    StrictViolation,
     parse_frame,
     parse_matrix,
 )
@@ -22,12 +21,6 @@ def test_two_by_two():
     assert m.n_rows == 2 and m.n_cols == 2
 
 
-def test_row_names_column():
-    m, _ = parse_matrix(b"r1,5\n", REAL, row_names_col=True)
-    assert m.values.tolist() == [[5.0]]
-    assert list(m.row_names) == ["r1"]
-
-
 def test_ragged_is_an_error():
     with pytest.raises(RaggedInput):
         parse_matrix(b"1,2\n3\n", REAL)
@@ -41,9 +34,8 @@ def test_empty_chunk_gives_0x0():
               ColumnType.REAL: np.float64, ColumnType.CHARACTER: object,
               ColumnType.COMPLEX: np.complex128}
     for elem_type, dtype in dtypes.items():
-        m, _ = parse_matrix(b"", elem_type, row_names_col=True)
+        m, _ = parse_matrix(b"", elem_type)
         assert m.values.shape == (0, 0) and m.values.dtype == dtype
-        assert m.row_names is None
 
 
 def test_bad_cell_is_nan_plus_count():
@@ -51,13 +43,6 @@ def test_bad_cell_is_nan_plus_count():
     assert np.isnan(m.values[0, 1])
     assert np.isnan(m.values[1, 0])
     assert failures == 1  # NA is a null, not a failure
-
-
-def test_strict_upgrades_failures():
-    with pytest.raises(StrictViolation):
-        parse_matrix(b"1,x\n", REAL, strict=True)
-    m, _ = parse_matrix(b"1,NA\n", REAL, strict=True)
-    assert np.isnan(m.values[0, 1])
 
 
 def test_integer_logical_complex_character():
@@ -76,18 +61,6 @@ def test_unsupported_element_types():
     for bad in (ColumnType.BYTES, ColumnType.TIMESTAMP, ColumnType.SKIP):
         with pytest.raises(SchemaError):
             parse_matrix(b"1\n", bad)
-
-
-def test_skip_lines():
-    m, _ = parse_matrix(b"header line\n1,2\n", REAL, skip_lines=1)
-    assert m.values.tolist() == [[1.0, 2.0]]
-
-
-def test_negative_skip_is_rejected_like_parse_frame():
-    with pytest.raises(ValueError):
-        parse_matrix(b"1\n2\n3\n", REAL, skip_lines=-1)
-    with pytest.raises(ValueError):
-        parse_frame(b"1\n2\n3\n", Schema((REAL,)), skip_lines=-1)
 
 
 def test_nul_byte_forces_slow_path_same_result():

@@ -163,8 +163,7 @@ def test_projection_matches_unprojected_pipeline(case, infer, chunk_bytes):
         for cells in ([names] if header else []) + rows
     )
     if infer:
-        # inference reads the first chunk only; the oracle reads the file
-        schema_arg, chunk_bytes, skipped = "infer", None, [False] * len(letters)
+        schema_arg, skipped = "infer", [False] * len(letters)
     else:
         schema_arg, skipped = ",".join(letters), [c == "s" for c in letters]
     args, spec, hhmm = _model_args(columns, skipped, header, names)

@@ -13,7 +13,6 @@ from rowstream import (
     TermSpec,
     UnknownLevel,
     expand,
-    normalize_hhmm,
     normalize_hhmm_column,
     spec_names,
 )
@@ -36,35 +35,34 @@ def col(name, ctype, values, mask=None):
     return Column(name, ctype, values, np.asarray(mask, dtype=bool))
 
 
-def test_normalize_hhmm_values():
-    assert normalize_hhmm(130) == 90
-    assert normalize_hhmm(0) == 0
-    assert normalize_hhmm(2359) == 1439
-    assert normalize_hhmm(None) is None
-    # 4-digit zero-pad contract: out-of-range readings are refused
-    with pytest.raises(OutOfRange):
-        normalize_hhmm(-1)
-    with pytest.raises(OutOfRange):
-        normalize_hhmm(10000)
-    # 2400+ appears in real clock data and passes through arithmetically
-    assert normalize_hhmm(2400) == 1440
-
-
-def test_normalize_hhmm_column():
+def test_normalize_hhmm_column(recwarn):
     frame = Frame([
-        col("DepTime", ColumnType.INTEGER, [130, 0, 2359], [False, True, False]),
-        col("other", ColumnType.REAL, [1.0, 2.0, 3.0]),
+        col("DepTime", ColumnType.INTEGER, [130, 0, 2359, 0, 2400],
+            [False, True, False, False, False]),
+        col("other", ColumnType.REAL, [1.0, 2.0, 3.0, 4.0, 5.0]),
     ])
     out = normalize_hhmm_column(frame, "DepTime")
     dep = out.column("DepTime")
-    assert dep.values[0] == 90
-    assert dep.mask.tolist() == [False, True, False]
-    assert dep.values[2] == 1439
-    assert out.column("other").values.tolist() == [1.0, 2.0, 3.0]
+    assert dep.mask.tolist() == [False, True, False, False, False]
+    # 2400+ appears in real clock data and passes through arithmetically
+    assert dep.values[~dep.mask].tolist() == [90, 1439, 0, 1440]
+    assert out.column("other").values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
     # the original frame is untouched
     assert frame.column("DepTime").values[0] == 130
     with pytest.raises(MissingColumn):
         normalize_hhmm_column(frame, "missing")
+    # 4-digit zero-pad contract: out-of-range readings are refused, unless null
+    for bad in (-1, 10000):
+        clock = Frame([col("t", ColumnType.INTEGER, [130, bad])])
+        with pytest.raises(OutOfRange):
+            normalize_hhmm_column(clock, "t")
+        clock = Frame([col("t", ColumnType.INTEGER, [130, bad], [False, True])])
+        assert normalize_hhmm_column(clock, "t").column("t").values[0] == 90
+    # a non-finite reading becomes NaN, which expand drops, without a warning
+    clock = Frame([col("t", ColumnType.REAL, [130.0, np.inf, -np.inf, np.nan])])
+    values = normalize_hhmm_column(clock, "t").column("t").values
+    assert values[0] == 90.0 and np.isnan(values[1:]).all()
+    assert len(recwarn) == 0
 
 
 def test_normalize_hhmm_column_rejects_character():
@@ -187,17 +185,6 @@ def test_logical_and_timestamp_terms_become_floats():
     matrix, _ = expand(frame, spec)
     assert matrix.values[:, 2].tolist() == [1.0, 0.0]
     assert matrix.values[:, 3].tolist() == [10.5, 20.25]
-
-
-def test_no_intercept():
-    frame = Frame([
-        col("y", ColumnType.REAL, [1.0]),
-        col("x", ColumnType.REAL, [2.0]),
-    ])
-    spec = TermSpec("y", (NumericTerm("x"),), intercept=False)
-    matrix, _ = expand(frame, spec)
-    assert list(matrix.col_names) == ["y", "x"]
-    assert matrix.values.tolist() == [[1.0, 2.0]]
 
 
 def test_missing_column():
