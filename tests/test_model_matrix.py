@@ -35,7 +35,29 @@ def col(name, ctype, values, mask=None):
     return Column(name, ctype, values, np.asarray(mask, dtype=bool))
 
 
-def test_normalize_hhmm_column(recwarn):
+def hhmm(values, mask=None, ctype=ColumnType.INTEGER):
+    clock = Frame([col("t", ctype, values, mask)])
+    return normalize_hhmm_column(clock, "t").column("t")
+
+
+def test_normalize_hhmm_values(recwarn):
+    assert hhmm([130, 0, 2359]).values.tolist() == [90, 0, 1439]
+    # a null reading stays null
+    assert hhmm([130, 0], [False, True]).mask.tolist() == [False, True]
+    # 2400+ appears in real clock data and passes through arithmetically
+    assert hhmm([2400]).values.tolist() == [1440]
+    # 4-digit zero-pad contract: out-of-range readings are refused, unless null
+    for bad in (-1, 10000):
+        with pytest.raises(OutOfRange):
+            hhmm([130, bad])
+        assert hhmm([130, bad], [False, True]).values[0] == 90
+    # a non-finite reading becomes NaN, which expand drops, without a warning
+    values = hhmm([130.0, np.inf, -np.inf, np.nan], ctype=ColumnType.REAL).values
+    assert values[0] == 90.0 and np.isnan(values[1:]).all()
+    assert len(recwarn) == 0
+
+
+def test_normalize_hhmm_column():
     frame = Frame([
         col("DepTime", ColumnType.INTEGER, [130, 0, 2359, 0, 2400],
             [False, True, False, False, False]),
@@ -44,25 +66,12 @@ def test_normalize_hhmm_column(recwarn):
     out = normalize_hhmm_column(frame, "DepTime")
     dep = out.column("DepTime")
     assert dep.mask.tolist() == [False, True, False, False, False]
-    # 2400+ appears in real clock data and passes through arithmetically
     assert dep.values[~dep.mask].tolist() == [90, 1439, 0, 1440]
     assert out.column("other").values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
     # the original frame is untouched
     assert frame.column("DepTime").values[0] == 130
     with pytest.raises(MissingColumn):
         normalize_hhmm_column(frame, "missing")
-    # 4-digit zero-pad contract: out-of-range readings are refused, unless null
-    for bad in (-1, 10000):
-        clock = Frame([col("t", ColumnType.INTEGER, [130, bad])])
-        with pytest.raises(OutOfRange):
-            normalize_hhmm_column(clock, "t")
-        clock = Frame([col("t", ColumnType.INTEGER, [130, bad], [False, True])])
-        assert normalize_hhmm_column(clock, "t").column("t").values[0] == 90
-    # a non-finite reading becomes NaN, which expand drops, without a warning
-    clock = Frame([col("t", ColumnType.REAL, [130.0, np.inf, -np.inf, np.nan])])
-    values = normalize_hhmm_column(clock, "t").column("t").values
-    assert values[0] == 90.0 and np.isnan(values[1:]).all()
-    assert len(recwarn) == 0
 
 
 def test_normalize_hhmm_column_rejects_character():
