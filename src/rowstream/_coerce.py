@@ -2,13 +2,14 @@
 reads byte fields and ``render_column`` writes cells that read back the same.
 The writer adds only the layout: guarding, quoting and joining.
 
-Each column type has two implementations: a vectorized one built on numpy's
-fixed-width bytes casts, and a per-field scalar one used when the vectorized
-cast rejects the column (or cannot be trusted, see below).  numpy's S-to-int64
-cast applies Python ``int()`` semantics and its S-to-float64 cast matches the
-``np.float64`` scalar constructor, so the two paths accept the same grammar
-and produce bit-identical values; which path runs is purely a performance
-matter and never changes the result.
+``_TYPES`` holds one row per column type (see ``_Type``).  Reading has two
+paths: a vectorized one built on numpy's fixed-width bytes casts, and the
+per-field loop ``_column_slow`` that serves every type: it runs for the
+types with no cast and whenever the cast rejects a column.  numpy's
+S-to-int64 cast applies Python ``int()`` semantics and its S-to-float64 cast
+matches the ``np.float64`` scalar constructor, so the two paths accept the
+same grammar and produce bit-identical values; which path runs is purely a
+performance matter and never changes the result.
 
 The one place the vectorized path would lie is NUL bytes: fixed-width bytes
 arrays silently strip trailing ``\\x00``.  Callers detect NULs once per chunk
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .errors import SchemaError
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
+_NULL_TOKENS = (b"", b"NA")
 _TRUE_TOKENS = (b"TRUE", b"T")
 _FALSE_TOKENS = (b"FALSE", b"F")
 _TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
@@ -53,200 +56,52 @@ class ColumnType(enum.Enum):
 
 def is_null_token(field: bytes) -> bool:
     """True for the two null spellings: the empty field and ``NA``."""
-    return field == b"" or field == b"NA"
+    return field in _NULL_TOKENS
 
 
 def _logical_scalar(field: bytes):
     if field in _TRUE_TOKENS:
-        return True, False
+        return True
     if field in _FALSE_TOKENS:
-        return False, False
-    return None, True
+        return False
+    raise ValueError(field)
 
 
 def _integer_scalar(field: bytes):
-    try:
-        value = int(field)
-    except ValueError:
-        return None, True
+    value = int(field)
     if value < INT64_MIN or value > INT64_MAX:
-        return None, True
-    return value, False
+        raise ValueError(field)
+    return value
 
 
 def _real_scalar(field: bytes):
-    try:
-        return float(np.float64(field)), False
-    except ValueError:
-        return None, True
+    return float(np.float64(field))
 
 
 def _complex_scalar(field: bytes):
     # Written as `a+bi`, `bi`, or a plain real; the imaginary unit is a
     # trailing `i`.  The split point is the last sign not part of an exponent.
     if not field.endswith(b"i"):
-        value, failed = _real_scalar(field)
-        return (None, True) if failed else (complex(value, 0.0), False)
+        return complex(_real_scalar(field), 0.0)
     body = field[:-1]
-    split = -1
     for idx in range(len(body) - 1, 0, -1):
         if body[idx] in b"+-" and body[idx - 1] not in b"eE":
-            split = idx
-            break
-    if split == -1:
-        value, failed = _real_scalar(body)
-        return (None, True) if failed else (complex(0.0, value), False)
-    re_part, re_failed = _real_scalar(body[:split])
-    im_part, im_failed = _real_scalar(body[split:])
-    if re_failed or im_failed:
-        return None, True
-    return complex(re_part, im_part), False
+            return complex(_real_scalar(body[:idx]), _real_scalar(body[idx:]))
+    return complex(0.0, _real_scalar(body))
 
 
 def _timestamp_scalar(field: bytes):
     # Numbers pass through as epoch seconds; otherwise a single calendar
     # format, `YYYY-MM-DD hh:mm:ss`, interpreted as UTC.
-    value, failed = _real_scalar(field)
-    if not failed:
-        return value, False
     try:
+        return _real_scalar(field)
+    except ValueError:
         dt = datetime.strptime(field.decode("ascii"), _TIMESTAMP_FORMAT)
-    except (ValueError, UnicodeDecodeError):
-        return None, True
-    return dt.replace(tzinfo=timezone.utc).timestamp(), False
+    return dt.replace(tzinfo=timezone.utc).timestamp()
 
 
 def _character_scalar(field: bytes):
-    return field.decode("utf-8", "surrogateescape"), False
-
-
-def _bytes_scalar(field: bytes):
-    return bytes(field), False
-
-
-_SCALAR = {
-    ColumnType.LOGICAL: _logical_scalar,
-    ColumnType.INTEGER: _integer_scalar,
-    ColumnType.REAL: _real_scalar,
-    ColumnType.CHARACTER: _character_scalar,
-    ColumnType.BYTES: _bytes_scalar,
-    ColumnType.COMPLEX: _complex_scalar,
-    ColumnType.TIMESTAMP: _timestamp_scalar,
-}
-
-
-def parse_field_ex(field: bytes, ctype: ColumnType, quoted: bool = False):
-    """Coerce one field; returns ``(value, failed)``.
-
-    Nulls (empty field or ``NA``, unless the field was quoted) come back as
-    ``(None, False)``; malformed fields as ``(None, True)``.  Only the latter
-    counts as a coercion failure.
-    """
-    if ctype is ColumnType.SKIP:
-        raise SchemaError("skip columns have no values")
-    if not quoted and is_null_token(field):
-        return None, False
-    return _SCALAR[ctype](field)
-
-
-def _bytes_array(fields: list) -> np.ndarray:
-    a = np.array(fields, dtype="S") if fields else np.empty(0, dtype="S1")
-    if a.dtype.itemsize < 3:
-        # wide enough to hold the b"0"/b"nan" placeholders written below
-        a = a.astype("S3")
-    return a
-
-
-def _null_mask(a: np.ndarray) -> np.ndarray:
-    return (a == b"") | (a == b"NA")
-
-
-def _logical_bulk(fields):
-    a = _bytes_array(fields)
-    null = _null_mask(a)
-    true = (a == b"TRUE") | (a == b"T")
-    false = (a == b"FALSE") | (a == b"F")
-    bad = ~(null | true | false)
-    return true, null | bad, int(bad.sum())
-
-
-def _cast_bulk(fields, dtype, placeholder: bytes):
-    a = _bytes_array(fields)
-    mask = _null_mask(a)
-    if mask.any():
-        a[mask] = placeholder
-    try:
-        return a.astype(dtype), mask, 0
-    except (ValueError, OverflowError):
-        return None
-
-
-def _column_slow(fields, ctype, quoted):
-    n = len(fields)
-    mask = np.zeros(n, dtype=np.bool_)
-    if ctype is ColumnType.LOGICAL:
-        values = np.zeros(n, dtype=np.bool_)
-    elif ctype is ColumnType.INTEGER:
-        values = np.zeros(n, dtype=np.int64)
-    elif ctype is ColumnType.COMPLEX:
-        values = np.full(n, _COMPLEX_NULL, dtype=np.complex128)
-    else:
-        values = np.full(n, np.nan, dtype=np.float64)
-    scalar = _SCALAR[ctype]
-    failures = 0
-    for i, field in enumerate(fields):
-        if (quoted is None or not quoted[i]) and is_null_token(field):
-            mask[i] = True
-            continue
-        value, failed = scalar(field)
-        if failed:
-            mask[i] = True
-            failures += 1
-        else:
-            values[i] = value
-    return values, mask, failures
-
-
-def convert_column(
-    fields: list,
-    ctype: ColumnType,
-    quoted: list | None = None,
-    bulk: bool = True,
-):
-    """Coerce a column of raw fields to ``(values, mask, n_failures)``.
-
-    ``values`` is a numpy array (Character and Bytes columns use Python lists
-    instead), ``mask`` flags null slots, and ``n_failures`` counts malformed
-    non-null fields.  Null slots hold a type-specific placeholder: False, 0,
-    NaN, or NaN+NaNi.  ``quoted`` (one flag per field) suppresses null-token
-    recognition for quoted fields; ``bulk=False`` forces the scalar path.
-    """
-    if ctype is ColumnType.CHARACTER or ctype is ColumnType.BYTES:
-        text = ctype is ColumnType.CHARACTER
-        values = []
-        mask = np.zeros(len(fields), dtype=np.bool_)
-        for i, field in enumerate(fields):
-            if (quoted is None or not quoted[i]) and is_null_token(field):
-                values.append(None)
-                mask[i] = True
-            elif text:
-                values.append(field.decode("utf-8", "surrogateescape"))
-            else:
-                values.append(bytes(field))
-        return values, mask, 0
-    if quoted is not None:
-        bulk = False  # quoted fields opt out of null-token recognition
-    if bulk:
-        if ctype is ColumnType.LOGICAL:
-            return _logical_bulk(fields)
-        out = None
-        if ctype is ColumnType.INTEGER:
-            out = _cast_bulk(fields, np.int64, b"0")
-        elif ctype in (ColumnType.REAL, ColumnType.TIMESTAMP):
-            out = _cast_bulk(fields, np.float64, b"nan")
-        if out is not None:
-            return out
-    return _column_slow(fields, ctype, quoted)
+    return field.decode("utf-8", "surrogateescape")
 
 
 def _render_real(v: float) -> bytes:
@@ -263,22 +118,128 @@ def _render_text(v) -> bytes:
     return v.encode("utf-8", "surrogateescape") if isinstance(v, str) else bytes(v)
 
 
-_RENDER = {
-    ColumnType.LOGICAL: lambda v: _TRUE_TOKENS[0] if v else _FALSE_TOKENS[0],
-    ColumnType.INTEGER: lambda v: b"%d" % v,
-    ColumnType.REAL: _render_real,
-    ColumnType.CHARACTER: _render_text,
-    ColumnType.BYTES: _render_text,
-    ColumnType.COMPLEX: _render_complex,
-    ColumnType.TIMESTAMP: _render_real,
+class _Type(NamedTuple):
+    read: Callable  # bytes -> value; raises ValueError on a malformed field
+    render: Callable  # value -> bytes
+    dtype: object  # of the values array; None for a Python list
+    fill: object  # the value at null slots
+    cast_null: bytes | None  # null placeholder for numpy's bulk cast, if any
+
+
+_TYPES = {
+    ColumnType.LOGICAL: _Type(_logical_scalar,
+                              lambda v: _TRUE_TOKENS[0] if v else _FALSE_TOKENS[0],
+                              np.bool_, False, None),
+    ColumnType.INTEGER: _Type(_integer_scalar, lambda v: b"%d" % v, np.int64, 0, b"0"),
+    ColumnType.REAL: _Type(_real_scalar, _render_real, np.float64, np.nan, b"nan"),
+    ColumnType.CHARACTER: _Type(_character_scalar, _render_text, None, None, None),
+    ColumnType.BYTES: _Type(bytes, _render_text, None, None, None),
+    ColumnType.COMPLEX: _Type(_complex_scalar, _render_complex, np.complex128,
+                              _COMPLEX_NULL, None),
+    ColumnType.TIMESTAMP: _Type(_timestamp_scalar, _render_real, np.float64, np.nan,
+                                b"nan"),
 }
+
+
+def parse_field_ex(field: bytes, ctype: ColumnType, quoted: bool = False):
+    """Coerce one field; returns ``(value, failed)``.
+
+    Nulls (empty field or ``NA``, unless the field was quoted) come back as
+    ``(None, False)``; malformed fields as ``(None, True)``.  Only the latter
+    counts as a coercion failure.
+    """
+    if ctype is ColumnType.SKIP:
+        raise SchemaError("skip columns have no values")
+    if not quoted and is_null_token(field):
+        return None, False
+    try:
+        return _TYPES[ctype].read(field), False
+    except ValueError:
+        return None, True
+
+
+def _bytes_array(fields: list) -> np.ndarray:
+    a = np.array(fields, dtype="S") if fields else np.empty(0, dtype="S1")
+    if a.dtype.itemsize < 3:
+        # wide enough to hold the b"0"/b"nan" placeholders written below
+        a = a.astype("S3")
+    return a
+
+
+def _null_mask(a: np.ndarray) -> np.ndarray:
+    return (a == _NULL_TOKENS[0]) | (a == _NULL_TOKENS[1])
+
+
+def _logical_bulk(fields):
+    a = _bytes_array(fields)
+    null = _null_mask(a)
+    true = (a == _TRUE_TOKENS[0]) | (a == _TRUE_TOKENS[1])
+    false = (a == _FALSE_TOKENS[0]) | (a == _FALSE_TOKENS[1])
+    bad = ~(null | true | false)
+    return true, null | bad, int(bad.sum())
+
+
+def _cast_bulk(fields, dtype, placeholder: bytes):
+    a = _bytes_array(fields)
+    mask = _null_mask(a)
+    if mask.any():
+        a[mask] = placeholder
+    try:
+        return a.astype(dtype), mask, 0
+    except (ValueError, OverflowError):
+        return None
+
+
+def _column_slow(fields, ctype, quoted):
+    row = _TYPES[ctype]
+    n = len(fields)
+    mask = np.zeros(n, dtype=np.bool_)
+    values = [row.fill] * n if row.dtype is None else np.full(n, row.fill, row.dtype)
+    read = row.read
+    failures = 0
+    for i, field in enumerate(fields):
+        if field in _NULL_TOKENS and (quoted is None or not quoted[i]):
+            mask[i] = True
+            continue
+        try:
+            values[i] = read(field)
+        except ValueError:
+            mask[i] = True
+            failures += 1
+    return values, mask, failures
+
+
+def convert_column(
+    fields: list,
+    ctype: ColumnType,
+    quoted: list | None = None,
+    bulk: bool = True,
+):
+    """Coerce a column of raw fields to ``(values, mask, n_failures)``.
+
+    ``values`` is a numpy array (Character and Bytes columns use Python lists
+    instead), ``mask`` flags null slots, and ``n_failures`` counts malformed
+    non-null fields.  Null slots hold a type-specific placeholder: False, 0,
+    NaN, NaN+NaNi, or None.  ``quoted`` (one flag per field) suppresses
+    null-token recognition for quoted fields; ``bulk=False`` forces the
+    scalar path.
+    """
+    if bulk and quoted is None:  # quoted fields opt out of null-token recognition
+        if ctype is ColumnType.LOGICAL:
+            return _logical_bulk(fields)
+        row = _TYPES[ctype]
+        if row.cast_null is not None:
+            out = _cast_bulk(fields, row.dtype, row.cast_null)
+            if out is not None:
+                return out
+    return _column_slow(fields, ctype, quoted)
 
 
 def render_column(values, mask: np.ndarray, ctype: ColumnType) -> list:
     """Render a column as one bytes cell per slot: the inverse of
     :func:`convert_column`.  Masked slots render as ``NA``; every other cell
     parses back to its value (floats bit for bit)."""
-    render = _RENDER[ctype]
+    render = _TYPES[ctype].render
     if isinstance(values, np.ndarray):
         values = values.tolist()  # Python scalars render faster than numpy's
     if mask.any():

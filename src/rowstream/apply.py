@@ -33,7 +33,7 @@ from typing import Callable, Optional
 from .chunker import Chunk, ChunkerConfig, _raw_chunks, iter_chunks
 from .errors import NotSeekable, WorkerFailure
 
-__all__ = ["MODES", "ApplyConfig", "chunk_apply", "iter_chunks"]
+__all__ = ["MODES", "ApplyConfig", "chunk_apply"]
 
 MODES = ("sequential", "pipeline", "split")
 

@@ -249,18 +249,6 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-class _TermAction(argparse.Action):
-    """Collect --numeric/--factor/--hhmm flags into one ordered list, so the
-    checkpoint's column order is exactly the command line's term order."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        terms = getattr(namespace, "terms", None)
-        if terms is None:
-            terms = []
-            namespace.terms = terms
-        terms.append((option_string.lstrip("-"), values))
-
-
 def _build_terms(raw):
     terms = []
     hhmm_cols = []
@@ -299,7 +287,7 @@ def cmd_mm(args) -> int:
     marker = _refuse_unfinished(args.out)
     cfg = _default_chunker()
     sep = _sep_bytes(args.sep)
-    terms, hhmm_cols = _build_terms(getattr(args, "terms", None) or [])
+    terms, hhmm_cols = _build_terms(args.terms or [])
     if not terms:
         raise SchemaError(
             "no model terms; give at least one --numeric/--factor/--hhmm"
@@ -365,6 +353,9 @@ def cmd_fit(args) -> int:
         raise MissingColumn(
             f"response {args.response!r} not in {sidecar_path(args.checkpoint)}"
         )
+    if names.count(args.response) > 1:
+        raise SchemaError(f"response {args.response!r} repeats in "
+                          f"{sidecar_path(args.checkpoint)}")
     resp_idx = names.index(args.response)
     x_names = names[:resp_idx] + names[resp_idx + 1:]
     mode = {"seq": "sequential", "pipeline": "pipeline", "split": "split"}[args.mode]
@@ -423,12 +414,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mm", help="expand inputs into a model-matrix checkpoint")
     p.add_argument("inputs", nargs="+", help="delimited input files (shared schema)")
     p.add_argument("--response", required=True, metavar="COL")
-    p.add_argument("--numeric", action=_TermAction, metavar="COL[,COL...]",
+    # one dest for all term flags: argparse appends them in command-line
+    # order, which is the checkpoint's column order
+    p.add_argument("--numeric", action="append", dest="terms",
+                   type=lambda v: ("numeric", v), metavar="COL[,COL...]",
                    help="numeric regressor column(s); order of term flags is "
                         "the checkpoint column order")
-    p.add_argument("--factor", action=_TermAction, metavar="COL=L1,L2,...",
+    p.add_argument("--factor", action="append", dest="terms",
+                   type=lambda v: ("factor", v), metavar="COL=L1,L2,...",
                    help="factor column with ordered levels (first is baseline)")
-    p.add_argument("--hhmm", action=_TermAction, metavar="COL[,COL...]",
+    p.add_argument("--hhmm", action="append", dest="terms",
+                   type=lambda v: ("hhmm", v), metavar="COL[,COL...]",
                    help="clock column(s): normalized to minutes, then numeric")
     p.add_argument("--out", required=True, metavar="CHECKPOINT")
     p.add_argument("--schema", default="infer", help=_SCHEMA_HELP)

@@ -139,7 +139,7 @@ class Frame:
         for c in self.columns:
             if c.name == name:
                 return c
-        raise MissingColumn(name)
+        raise MissingColumn(f"no column {name!r}")
 
     def __eq__(self, other):
         if not isinstance(other, Frame):

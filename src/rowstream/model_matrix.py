@@ -35,7 +35,6 @@ _NUMERIC_OK = (
     ColumnType.REAL,
     ColumnType.TIMESTAMP,
 )
-_FACTOR_OK = (ColumnType.INTEGER, ColumnType.CHARACTER)
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,21 @@ Term = Union[NumericTerm, FactorTerm]
 @dataclass(frozen=True)
 class TermSpec:
     """Response column and ordered regressor terms; every design also
-    starts with an intercept."""
+    starts with an intercept.  The design's column names (``spec_names``)
+    must be distinct, since a fit keys its coefficients by name."""
 
     response: str
     terms: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        for term in self.terms:
+            if not isinstance(term, (NumericTerm, FactorTerm)):
+                raise SchemaError(f"unknown term kind {type(term).__name__}")
+        names = spec_names(self)
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise SchemaError(f"design column name {name!r} repeats")
 
 
 @dataclass
@@ -99,10 +106,8 @@ def spec_names(spec: TermSpec) -> list:
     for term in spec.terms:
         if isinstance(term, NumericTerm):
             names.append(term.column)
-        elif isinstance(term, FactorTerm):
-            names.extend(term.column + level for level in term.levels[1:])
         else:
-            raise SchemaError(f"unknown term kind {type(term).__name__}")
+            names.extend(term.column + level for level in term.levels[1:])
     return names
 
 
@@ -171,29 +176,26 @@ def expand(frame: Frame, spec: TermSpec, lenient_levels: bool = False):
     n = frame.n_rows
     resp = frame.column(spec.response)
     resp_values = _numeric_values(resp, "response")
-    drop_null = resp.mask | ~np.isfinite(resp_values)
-    term_cols = []
+    null = resp.mask | ~np.isfinite(resp_values)
+    blocks = [np.ones(n), resp_values]
+    factors = []
     for term in spec.terms:
         col = frame.column(term.column)
+        null |= col.mask
         if isinstance(term, NumericTerm):
             values = _numeric_values(col, "numeric term")
-            drop_null |= ~np.isfinite(values)
-            term_cols.append((term, values, None))
-        elif isinstance(term, FactorTerm):
-            index = {level: i for i, level in enumerate(term.levels)}
-            keys = _factor_keys(col)
-            code = np.fromiter(
-                (index.get(k, -1) for k in keys), dtype=np.int64, count=n
-            )
-            term_cols.append((term, None, code))
+            null |= ~np.isfinite(values)
+            blocks.append(values)
         else:
-            raise SchemaError(f"unknown term kind {type(term).__name__}")
-        drop_null |= col.mask
+            index = {level: i for i, level in enumerate(term.levels)}
+            code = np.fromiter(
+                (index.get(k, -1) for k in _factor_keys(col)), dtype=np.int64, count=n
+            )
+            blocks.append(code[:, None] == np.arange(1, len(term.levels)))
+            factors.append((term, code))
     unknown = np.zeros(n, dtype=np.bool_)
-    for term, _, code in term_cols:
-        if code is None:
-            continue
-        bad = (code == -1) & ~drop_null
+    for term, code in factors:
+        bad = (code == -1) & ~null
         if bad.any():
             if not lenient_levels:
                 i = int(np.flatnonzero(bad)[0])
@@ -202,27 +204,11 @@ def expand(frame: Frame, spec: TermSpec, lenient_levels: bool = False):
                     f"column {term.column!r}: {keys[i]!r} not in levels"
                 )
             unknown |= bad
-    keep = ~(drop_null | unknown)
-    kept = np.flatnonzero(keep)
-    m = len(kept)
-    names = spec_names(spec)
-    X = np.zeros((m, len(names)), dtype=np.float64)
-    X[:, 0] = 1.0
-    X[:, 1] = resp_values[kept]
-    pos = 2
-    for term, values, code in term_cols:
-        if code is None:
-            X[:, pos] = values[kept]
-            pos += 1
-        else:
-            k = code[kept]
-            hot = np.flatnonzero(k >= 1)
-            X[hot, pos + k[hot] - 1] = 1.0
-            pos += len(term.levels) - 1
+    X = np.column_stack(blocks)[~(null | unknown)]
     report = ExpandReport(
         n_input=n,
-        n_rows=m,
-        n_dropped_null=int(drop_null.sum()),
+        n_rows=len(X),
+        n_dropped_null=int(null.sum()),
         n_dropped_unknown=int(unknown.sum()),
     )
-    return DenseMatrix(X, col_names=names), report
+    return DenseMatrix(X, col_names=spec_names(spec)), report

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateSystem,
     DimensionMismatch,
     NotPositiveSemidefinite,
+    SchemaError,
 )
 from .matrix import DenseMatrix
 
@@ -125,7 +126,8 @@ def solve_ne(
 ) -> RegressionFit:
     """Solve the accumulated normal equations with rank detection.
 
-    ``names`` labels the design columns (length d).  Returns a RegressionFit
+    ``names`` labels the design columns (length d, no name twice, since
+    ``coef`` is keyed by name).  Returns a RegressionFit
     whose ``coef`` maps kept column names to estimates and whose ``dropped``
     lists aliased columns in column order.
     Raises DegenerateSystem for an empty or all-zero design and
@@ -134,6 +136,9 @@ def solve_ne(
     d = acc.d
     if len(names) != d:
         raise DimensionMismatch(f"{len(names)} names for {d} columns")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise SchemaError(f"design column name {name!r} repeats")
     if acc.n < 1 or d == 0:
         raise DegenerateSystem("no rows accumulated")
     A = np.array(acc.xtx, dtype=np.float64)

@@ -15,7 +15,7 @@ from typing import BinaryIO, Iterable, Union
 
 import numpy as np
 
-from ._coerce import NON_TEXT, ColumnType, is_null_token, render_column
+from ._coerce import INT64_MAX, NON_TEXT, ColumnType, is_null_token, render_column
 from .errors import OutOfRange, SeparatorCollision
 from .frame import Frame, check_layout
 from .matrix import DenseMatrix
@@ -32,7 +32,6 @@ __all__ = [
 # matrix dtype kind -> element type; any other kind holds text, None as null
 _KIND_TYPES = {"f": ColumnType.REAL, "i": ColumnType.INTEGER, "u": ColumnType.INTEGER,
                "b": ColumnType.LOGICAL, "c": ColumnType.COMPLEX}
-_INT64_MAX = 2**63 - 1  # the largest INTEGER cell parse_matrix reads back
 
 
 def _guard(cell: bytes, sep: bytes, quote, last_col: bool) -> bytes:
@@ -92,14 +91,14 @@ def format_frame(
 
 
 def format_matrix(matrix: DenseMatrix, field_sep: bytes = b",") -> bytes:
-    """Render a matrix as headerless delimited text; row names are not
-    written.  Cells are guarded as in format_frame, but with no quoting
-    escape hatch, so a cell that collides with the layout raises
-    SeparatorCollision.  An unsigned value above the int64 range, which
-    would not read back as an integer, raises OutOfRange."""
+    """Render a matrix as headerless delimited text, one record per row.
+    Cells are guarded as in format_frame, but with no quoting escape hatch,
+    so a cell that collides with the layout raises SeparatorCollision.  An
+    unsigned value above the int64 range, which would not read back as an
+    integer, raises OutOfRange."""
     check_layout(field_sep)
     v = matrix.values
-    if v.dtype.kind == "u" and v.size and int(v.max()) > _INT64_MAX:
+    if v.dtype.kind == "u" and v.size and int(v.max()) > INT64_MAX:
         raise OutOfRange(f"unsigned cell {v.max()} exceeds the int64 range")
     ctype = _KIND_TYPES.get(v.dtype.kind, ColumnType.CHARACTER)
     null = np.equal(v, None) if v.dtype.kind == "O" else np.zeros(v.shape, bool)

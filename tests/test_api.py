@@ -23,6 +23,26 @@ def test_every_public_name_resolves():
     assert len(set(rowstream.__all__)) == len(rowstream.__all__)
 
 
+def test_every_private_module_name_is_read():
+    # a module-level private name that no module reads is dead code
+    trees = [ast.parse(path.read_text())
+             for path in (ROOT / "src" / "rowstream").glob("*.py")]
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    assert sorted(private - read) == []
+
+
 def test_benchmark_imports_resolve(monkeypatch, tmp_path):
     # perfbench/ is frozen between benchmark changes; every rowstream call
     # its in-process runs make must still bind, and give what its checks

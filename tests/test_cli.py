@@ -362,6 +362,45 @@ def test_mm_requires_terms(tmp_path, capsysbinary):
     assert "no model terms" in err
 
 
+@pytest.mark.parametrize("csv,terms,repeat", [
+    (b"y,x\n1,2\n2,3\n4,4\n", ["--numeric", "x", "--numeric", "x"], "x"),
+    (b"y,x\n1,2\n2,3\n4,4\n", ["--numeric", "y,x"], "y"),
+    (b"y,g,ga\n1,a,2\n2,b,3\n4,a,5\n", ["--factor", "g=b,a", "--numeric", "ga"],
+     "ga"),
+], ids=["numeric-twice", "response-as-term", "factor-name-clash"])
+def test_mm_refuses_repeated_design_names(tmp_path, capsysbinary, csv, terms,
+                                          repeat):
+    # fit keys coefficients by name: a repeated name used to collapse two
+    # columns, or regress the response on itself, and exit 0
+    src = tmp_path / "in.csv"
+    src.write_bytes(csv)
+    code, _, err = run(["mm", str(src), "--header", "--response", "y", *terms,
+                        "--out", str(tmp_path / "o.mm")], capsysbinary)
+    assert code == 1
+    assert f"design column name {repeat!r} repeats" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+
+@pytest.mark.parametrize("names,repeat", [
+    (["(Intercept)", "y", "x", "x"], "x"),
+    (["(Intercept)", "y", "y", "x"], "y"),
+], ids=["regressor", "response"])
+def test_fit_refuses_repeated_sidecar_names(tmp_path, capsysbinary, names,
+                                            repeat):
+    # a checkpoint written before mm refused repeated names
+    ckpt = tmp_path / "old.mm"
+    rows = []
+    for x in range(1, 8):
+        cell = {"(Intercept)": 1.0, "y": 2.0 * x + x % 3, "x": float(x)}
+        rows.append(b",".join(b"%r" % cell[name] for name in names) + b"\n")
+    ckpt.write_bytes(b"".join(rows))
+    write_sidecar(ckpt, names)
+    code, out, err = run(["fit", str(ckpt), "--response", "y"], capsysbinary)
+    assert code == 1
+    assert out == b""
+    assert repr(repeat) in err
+
+
 def write_toy_checkpoint(tmp_path):
     ckpt = tmp_path / "line.mm"
     rows = []

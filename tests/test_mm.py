@@ -209,7 +209,7 @@ def test_term_missing_from_header_is_reported(tmp_path):
     code, err = _run_mm(["mm", str(src), "--header", "--response", "y",
                          "--numeric", "nosuch", "--out", str(tmp_path / "o.mm")])
     assert code == 1
-    assert err.splitlines()[-1] == "error: nosuch"
+    assert err.splitlines()[-1] == "error: no column 'nosuch'"
 
 
 def test_header_schema_arity_mismatch_is_reported(tmp_path):

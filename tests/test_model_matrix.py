@@ -1,9 +1,15 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowstream import (
     Column,
     ColumnType,
+    ExpandReport,
     FactorTerm,
     Frame,
     MissingColumn,
@@ -256,3 +262,119 @@ def test_non_finite_response_or_term_counts_as_null(bad):
     assert report.n_dropped_null == 2
     assert report.n_dropped_unknown == 0
     assert report.n_rows == 2
+
+
+def test_term_spec_rejects_unknown_term_kind():
+    with pytest.raises(SchemaError, match="unknown term kind str"):
+        TermSpec("y", ("x",))
+
+
+@pytest.mark.parametrize("response,terms,repeat", [
+    ("y", (NumericTerm("x"), NumericTerm("x")), "x"),
+    ("y", (NumericTerm("y"), NumericTerm("x")), "y"),
+    ("y", (FactorTerm("g", ("b", "a")), NumericTerm("ga")), "ga"),
+    ("y", (NumericTerm("(Intercept)"),), "(Intercept)"),
+])
+def test_term_spec_rejects_repeated_design_names(response, terms, repeat):
+    # a fit keys coefficients by name, so a repeat would collapse silently
+    with pytest.raises(SchemaError, match=re.escape(repr(repeat))):
+        TermSpec(response, terms)
+
+
+def _oracle_expand(frame, spec, lenient_levels):
+    """expand, one row at a time, as its docstring describes it."""
+    names = ["(Intercept)", spec.response]
+    for term in spec.terms:
+        if isinstance(term, NumericTerm):
+            names.append(term.column)
+        else:
+            names += [term.column + level for level in term.levels[1:]]
+    resp = frame.column(spec.response)
+    rows = []  # (null, [(term index, row, unknown key)], design row)
+    for i in range(frame.n_rows):
+        y = float(resp.values[i])
+        null = bool(resp.mask[i]) or not math.isfinite(y)
+        row, unknown = [1.0, y], []
+        for t, term in enumerate(spec.terms):
+            c = frame.column(term.column)
+            null = null or bool(c.mask[i])
+            v = c.values[i]
+            if isinstance(term, NumericTerm):
+                null = null or not math.isfinite(float(v))
+                row.append(float(v))
+                continue
+            key = ("" if v is None else v) if c.ctype is ColumnType.CHARACTER \
+                else str(int(v))
+            levels = term.levels
+            row += [float(levels.index(key) == j) if key in levels else 0.0
+                    for j in range(1, len(levels))]
+            if key not in levels:
+                unknown.append((t, i, key))
+        rows.append((null, unknown, row))
+    live = sorted(u for null, unknown, _ in rows if not null for u in unknown)
+    if live and not lenient_levels:
+        t, _, key = live[0]
+        return f"column {spec.terms[t].column!r}: {key!r} not in levels"
+    kept = [row for null, unknown, row in rows if not (null or unknown)]
+    report = ExpandReport(
+        n_input=frame.n_rows,
+        n_rows=len(kept),
+        n_dropped_null=sum(null for null, _, _ in rows),
+        n_dropped_unknown=sum(1 for null, unknown, _ in rows
+                              if unknown and not null),
+    )
+    return np.array(kept, dtype=np.float64).reshape(-1, len(names)), names, report
+
+
+_FLOATS = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 8), n_terms=st.integers(0, 4),
+       lenient=st.booleans())
+def test_expand_matches_row_oracle(data, n, n_terms, lenient):
+    def cells(elements):
+        return data.draw(st.lists(elements, min_size=n, max_size=n))
+
+    columns = [col("y", ColumnType.REAL, cells(_FLOATS), cells(st.booleans()))]
+    terms = []
+    for j in range(n_terms):
+        name = f"c{j}"
+        mask = cells(st.booleans())
+        kind = data.draw(st.sampled_from(
+            ["real", "integer", "logical", "character factor", "integer factor"]))
+        if kind == "real":
+            values = cells(_FLOATS)
+            columns.append(col(name, ColumnType.REAL, values, mask))
+        elif kind == "integer":
+            values = cells(st.integers(-2**63, 2**63 - 1))
+            columns.append(col(name, ColumnType.INTEGER, values, mask))
+        elif kind == "logical":
+            columns.append(col(name, ColumnType.LOGICAL, cells(st.booleans()), mask))
+        elif kind == "character factor":
+            levels = data.draw(st.lists(st.sampled_from("abcd"), min_size=1,
+                                        max_size=4, unique=True))
+            values = cells(st.sampled_from(levels + ["zz", ""]))
+            values = [None if m else v for v, m in zip(values, mask)]
+            columns.append(col(name, ColumnType.CHARACTER, values, mask))
+        else:
+            levels = data.draw(st.lists(st.sampled_from(["1", "2", "3", "07"]),
+                                        min_size=1, max_size=4, unique=True))
+            columns.append(col(name, ColumnType.INTEGER,
+                               cells(st.integers(-1, 8)), mask))
+        terms.append(NumericTerm(name) if "factor" not in kind
+                     else FactorTerm(name, levels))
+    frame = Frame(columns)
+    spec = TermSpec("y", tuple(terms))
+    expected = _oracle_expand(frame, spec, lenient)
+    if isinstance(expected, str):
+        with pytest.raises(UnknownLevel) as err:
+            expand(frame, spec, lenient_levels=lenient)
+        assert str(err.value) == expected
+        return
+    X, names, report = expected
+    matrix, got = expand(frame, spec, lenient_levels=lenient)
+    assert matrix.values.dtype == np.float64 and matrix.values.shape == X.shape
+    assert matrix.values.tobytes() == X.tobytes()
+    assert list(matrix.col_names) == names
+    assert got == report

@@ -9,6 +9,7 @@ from rowstream import (
     DimensionMismatch,
     NormalEqAccumulator,
     NotPositiveSemidefinite,
+    SchemaError,
     accumulate,
     merge,
     solve_ne,
@@ -243,6 +244,14 @@ def test_names_length_check():
     acc = NormalEqAccumulator(1, np.array([[2.0]]), np.array([8.0]), 2)
     with pytest.raises(DimensionMismatch):
         solve_ne(acc, ["a", "b"])
+
+
+def test_repeated_names_are_refused():
+    # coef is keyed by name: a repeat used to return {'a': 0.8}
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    acc = build(X, np.array([1.0, 2.0, 2.0]))
+    with pytest.raises(SchemaError, match="'a'"):
+        solve_ne(acc, ["a", "a"])
 
 
 def test_rank_tol_flag_changes_kept_set():
