@@ -14,7 +14,15 @@ performance matter and never changes the result.
 The one place the vectorized path would lie is NUL bytes: fixed-width bytes
 arrays silently strip trailing ``\\x00``.  Callers detect NULs once per chunk
 and pass ``bulk=False`` to force the scalar path for such (vanishingly rare)
-inputs.
+inputs.  The same holds for a column the caller has already gathered into an
+``S`` array (``frame._gather``): only NUL-free chunks are gathered, so the
+array's stripped padding is never part of a field.
+
+Writing a Real has a second path too.  For an integral double below 1e16 in
+magnitude, ``repr`` is exactly its integer digits plus ``.0``, so
+:func:`spell_integral` computes those bytes for a whole matrix with numpy
+digit arithmetic instead of one ``repr`` per cell; its output equals
+``_render_real``'s, cell for cell.
 """
 
 from __future__ import annotations
@@ -109,6 +117,36 @@ def _render_real(v: float) -> bytes:
     return repr(v).encode("ascii")
 
 
+def spell_integral(v: np.ndarray):
+    """Spell every cell of a non-empty float64 array as ``_render_real``
+    does, by digit arithmetic; None unless every cell is integral and below
+    1e16 in magnitude (so NaN and the infinities fall back too).
+
+    Returns ``(block, keep)``: ``block`` holds one row of uint8 bytes per
+    cell (sign, right-aligned digits, ``.0``, then one spare byte that the
+    caller fills with the cell's separator), and ``block[keep]``, in C order,
+    is the cells with their separators run together."""
+    a = np.abs(v)
+    if not (a < 1e16).all():
+        return None
+    q = a.astype(np.int64)
+    if not (q == a).all():
+        return None
+    width = len(str(int(q.max())))
+    block = np.empty(v.shape + (width + 4,), np.uint8)
+    keep = np.ones(block.shape, np.bool_)
+    block[..., 0] = ord("-")
+    keep[..., 0] = np.signbit(v)  # so -0.0 spells "-0.0", as repr does
+    for k in range(width, 0, -1):
+        if k < width:
+            keep[..., k] = q > 0  # a leading digit: more of the value is left
+        rest = q // 10  # numpy divides by a scalar much faster than divmod
+        block[..., k] = q - rest * 10 + ord("0")
+        q = rest
+    block[..., -3:-1] = np.frombuffer(b".0", np.uint8)
+    return block, keep
+
+
 def _render_complex(v: complex) -> bytes:
     im = _render_real(v.imag)
     return _render_real(v.real) + (im if im[:1] == b"-" else b"+" + im) + b"i"
@@ -158,8 +196,12 @@ def parse_field_ex(field: bytes, ctype: ColumnType, quoted: bool = False):
         return None, True
 
 
-def _bytes_array(fields: list) -> np.ndarray:
-    a = np.array(fields, dtype="S") if fields else np.empty(0, dtype="S1")
+def _bytes_array(fields) -> np.ndarray:
+    # a gathered S array is used as it is; a list is copied into one
+    if isinstance(fields, np.ndarray):
+        a = fields
+    else:
+        a = np.array(fields, dtype="S") if fields else np.empty(0, dtype="S1")
     if a.dtype.itemsize < 3:
         # wide enough to hold the b"0"/b"nan" placeholders written below
         a = a.astype("S3")
@@ -183,7 +225,8 @@ def _cast_bulk(fields, dtype, placeholder: bytes):
     a = _bytes_array(fields)
     mask = _null_mask(a)
     if mask.any():
-        a[mask] = placeholder
+        # a new array: the scalar fallback must still see the null tokens
+        a = np.where(mask, np.bytes_(placeholder), a)
     try:
         return a.astype(dtype), mask, 0
     except (ValueError, OverflowError):
@@ -210,12 +253,14 @@ def _column_slow(fields, ctype, quoted):
 
 
 def convert_column(
-    fields: list,
+    fields,
     ctype: ColumnType,
     quoted: list | None = None,
     bulk: bool = True,
 ):
     """Coerce a column of raw fields to ``(values, mask, n_failures)``.
+
+    ``fields`` is a list of bytes, or an ``S`` array of NUL-free fields.
 
     ``values`` is a numpy array (Character and Bytes columns use Python lists
     instead), ``mask`` flags null slots, and ``n_failures`` counts malformed
@@ -232,6 +277,8 @@ def convert_column(
             out = _cast_bulk(fields, row.dtype, row.cast_null)
             if out is not None:
                 return out
+    if isinstance(fields, np.ndarray):
+        fields = fields.tolist()
     return _column_slow(fields, ctype, quoted)
 
 

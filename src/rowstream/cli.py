@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from functools import partial
 from itertools import chain
@@ -304,7 +304,9 @@ def cmd_mm(args) -> int:
                 "refusing to append a mismatched matrix"
             )
     err = sys.stderr
-    with open(out, "ab") as sink:
+    with ExitStack() as stack:
+        # opened at the first append: a failure before it leaves no file
+        sink = None
         for path in args.inputs:
             n_input = n_rows = n_null = n_unknown = 0
             for _, frame, _report in _parse_stream(
@@ -315,8 +317,9 @@ def cmd_mm(args) -> int:
                     frame = normalize_hhmm_column(frame, column)
                 matrix, xreport = expand(frame, spec, lenient_levels=True)
                 data = format_matrix(matrix, b",")
-                if not marker.exists():
+                if sink is None:
                     marker.touch()  # unfinished only once the data changes
+                    sink = stack.enter_context(open(out, "ab"))
                 append_to_checkpoint(sink, data)
                 n_input += xreport.n_input
                 n_rows += xreport.n_rows
@@ -327,6 +330,8 @@ def cmd_mm(args) -> int:
                 f"{n_null} dropped (null), {n_unknown} dropped (unknown level)",
                 file=err,
             )
+    if sink is None:
+        open(out, "ab").close()  # inputs without records: an empty checkpoint
     write_sidecar(out, names)
     marker.unlink(missing_ok=True)
     return EXIT_OK

@@ -1,15 +1,20 @@
 """Typed column frames parsed from delimited byte chunks.
 
-The parser is bulk-first: :func:`tokenize` splits a chunk into records and
-fields with ``bytes.split``, and each column is coerced with one vectorized
-numpy cast.  Columns that the vectorized cast rejects fall back to per-field
-coercion with identical semantics, so parse results never depend on chunk
-boundaries or on which path ran.
+The parser is bulk-first: a chunk is split into records and fields (see
+below), and each column is coerced with one vectorized numpy cast.  Columns
+that the vectorized cast rejects fall back to per-field coercion with
+identical semantics, so parse results never depend on chunk boundaries or
+on which path ran.
 
 This module owns the record layout: a record ends at LF (one trailing CR is
 dropped), fields are split on one separator byte, and an optional quote byte
-makes the separator literal.  :func:`check_layout` validates both bytes, and
-:func:`tokenize` is the only splitter.
+makes the separator literal.  :func:`check_layout` validates both bytes.
+Two splitters share the layout.  :func:`_field_offsets` finds every field's
+byte offsets with one numpy scan, and :func:`_gather` copies a column of
+fields straight into an ``S`` array, with no Python object per field.  They
+serve the common chunk: one read without a quote byte, holding no CR or NUL,
+whose records all have the schema's field count.  :func:`tokenize` splits
+every other chunk.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ __all__ = [
 
 # records after any header that infer_schema samples
 _SAMPLE_RECORDS = 1000
+
+# _BYTE_MASKS[i] keeps the first i bytes of a little-endian 64-bit word
+_BYTE_MASKS = np.array([(1 << 8 * i) - 1 for i in range(9)], np.dtype("<u8"))
 
 
 @dataclass(frozen=True)
@@ -271,6 +279,46 @@ def split_quoted(record: bytes, sep: bytes, quote: bytes):
     return fields, flags
 
 
+def _field_offsets(chunk: bytes, ncol: int, sep: bytes):
+    """``(starts, ends)``, the byte offsets of every field as two
+    ``(records, ncol)`` arrays, when every record of ``chunk`` has exactly
+    ``ncol`` fields and :func:`tokenize` would neither drop a CR nor meet a
+    NUL; otherwise None, as for an empty chunk.  Quotes are not looked for,
+    and ``sep`` must already have passed :func:`check_layout`."""
+    if not chunk or b"\r" in chunk or b"\x00" in chunk:
+        return None
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"  # an unterminated last record ends with the chunk
+    a = np.frombuffer(chunk, np.uint8)
+    ends = np.flatnonzero((a == sep[0]) | (a == 10))
+    lf = a[ends] == 10
+    if (len(ends) % ncol or not lf[ncol - 1::ncol].all()
+            or np.count_nonzero(lf) * ncol != len(ends)):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    return starts.reshape(-1, ncol), ends.reshape(-1, ncol)
+
+
+def _gather(chunk: bytes, starts: np.ndarray, ends: np.ndarray):
+    """The fields ``chunk[s:e]`` as one ``S`` array, exact only for a
+    NUL-free chunk since an ``S`` array strips NULs.  Each field is copied as
+    whole 64-bit words from its start, and the words are masked past its end.
+    When one long field would make that array over four times the chunk, the
+    fields come back as a list of ``bytes`` instead."""
+    lens = ends - starts
+    k = -(-int(lens.max()) // 8) or 1  # words per field
+    if len(starts) * 8 * k > 4 * len(chunk):
+        return [chunk[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+    windows = np.ndarray((len(chunk) + 1,), dtype=f"S{8 * k}",
+                         buffer=chunk + bytes(8 * k), strides=(1,))
+    fields = windows[starts]
+    words = fields.view("<u8").reshape(len(fields), k)
+    words &= _BYTE_MASKS[np.clip(lens - 8 * np.arange(k)[:, None], 0, 8)].T
+    return fields
+
+
 def _uniform_arity(rows) -> int:
     """The field count every row shares (0 without rows); RaggedInput
     names the first row that differs."""
@@ -283,21 +331,37 @@ def _uniform_arity(rows) -> int:
     return arity
 
 
-def _build_frame(rows, qrows, schema: Schema, bulk: bool):
+def _build_frame(chunk: bytes, schema: Schema):
     n_cols = len(schema.types)
+    offsets = (None if schema.quote is not None
+               else _field_offsets(chunk, n_cols, schema.field_sep))
     short = long_ = 0
-    for idx, row in enumerate(rows):
-        k = len(row)
-        if k < n_cols:
-            short += 1
-            row.extend([b""] * (n_cols - k))
-            if qrows is not None:
-                qrows[idx].extend([False] * (n_cols - k))
-        elif k > n_cols:
-            long_ += 1
-            del row[n_cols:]
-            if qrows is not None:
-                del qrows[idx][n_cols:]
+    if offsets is not None:
+        starts, ends = offsets
+        n_records = len(starts)
+
+        def fields(j):
+            return _gather(chunk, starts[:, j], ends[:, j]), None
+    else:
+        rows, qrows = tokenize(chunk, schema.field_sep, schema.quote)
+        n_records = len(rows)
+        for idx, row in enumerate(rows):
+            k = len(row)
+            if k < n_cols:
+                short += 1
+                row.extend([b""] * (n_cols - k))
+                if qrows is not None:
+                    qrows[idx].extend([False] * (n_cols - k))
+            elif k > n_cols:
+                long_ += 1
+                del row[n_cols:]
+                if qrows is not None:
+                    del qrows[idx][n_cols:]
+
+        def fields(j):
+            return ([row[j] for row in rows],
+                    [q[j] for q in qrows] if qrows is not None else None)
+    bulk = b"\x00" not in chunk
     names = schema.out_names()
     columns = []
     failures = {}
@@ -305,13 +369,12 @@ def _build_frame(rows, qrows, schema: Schema, bulk: bool):
     for j, ctype in enumerate(schema.types):
         if ctype is ColumnType.SKIP:
             continue
-        fields = [row[j] for row in rows]
-        qcol = [q[j] for q in qrows] if qrows is not None else None
-        values, mask, fails = convert_column(fields, ctype, qcol, bulk)
+        column, quoted = fields(j)
+        values, mask, fails = convert_column(column, ctype, quoted, bulk)
         columns.append(Column(names[out_i], ctype, values, mask))
         failures[names[out_i]] = fails
         out_i += 1
-    report = ParseReport(len(rows), short, long_, failures)
+    report = ParseReport(n_records, short, long_, failures)
     return Frame(columns), report
 
 
@@ -333,9 +396,7 @@ def parse_frame(chunk: bytes, schema: Schema, *, strict: bool = False):
     Returns ``(frame, report)``.  With ``strict=True`` any coercion failure
     or ragged row raises StrictViolation instead of being counted.
     """
-    rows, quoted = tokenize(chunk, schema.field_sep, schema.quote)
-    bulk = b"\x00" not in chunk
-    frame, report = _build_frame(rows, quoted, schema, bulk)
+    frame, report = _build_frame(chunk, schema)
     if strict:
         _enforce_strict(report)
     return frame, report

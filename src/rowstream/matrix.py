@@ -14,7 +14,8 @@ import numpy as np
 
 from ._coerce import ColumnType, convert_column
 from .errors import SchemaError
-from .frame import _uniform_arity, tokenize
+from .frame import (_field_offsets, _gather, _uniform_arity, check_layout,
+                    tokenize)
 
 __all__ = ["DenseMatrix", "parse_matrix", "MATRIX_TYPES"]
 
@@ -65,16 +66,22 @@ def parse_matrix(chunk: bytes, elem_type: ColumnType, field_sep: bytes = b","):
     """
     if elem_type not in MATRIX_TYPES:
         raise SchemaError(f"matrices cannot hold {elem_type.value} elements")
-    rows = tokenize(chunk, field_sep)[0]
-    arity = _uniform_arity(rows)
-    flat = []
-    for row in rows:
-        flat.extend(row)
+    check_layout(field_sep)
+    ncol = chunk.split(b"\n", 1)[0].count(field_sep) + 1
+    offsets = _field_offsets(chunk, ncol, field_sep)
+    if offsets is not None:
+        starts, ends = offsets
+        n_rows, arity = starts.shape
+        fields = _gather(chunk, starts.ravel(), ends.ravel())
+    else:
+        rows = tokenize(chunk, field_sep)[0]
+        n_rows, arity = len(rows), _uniform_arity(rows)
+        fields = [f for row in rows for f in row]
     bulk = b"\x00" not in chunk
-    values, _mask, failures = convert_column(flat, elem_type, None, bulk)
+    values, _mask, failures = convert_column(fields, elem_type, None, bulk)
     if elem_type is ColumnType.CHARACTER:
         data = np.empty(len(values), dtype=object)
         data[:] = values
     else:
         data = values
-    return DenseMatrix(data.reshape(len(rows), arity)), failures
+    return DenseMatrix(data.reshape(n_rows, arity)), failures

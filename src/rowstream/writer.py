@@ -15,7 +15,8 @@ from typing import BinaryIO, Iterable, Union
 
 import numpy as np
 
-from ._coerce import INT64_MAX, NON_TEXT, ColumnType, is_null_token, render_column
+from ._coerce import (INT64_MAX, NON_TEXT, ColumnType, is_null_token,
+                      render_column, spell_integral)
 from .errors import OutOfRange, SeparatorCollision
 from .frame import Frame, check_layout
 from .matrix import DenseMatrix
@@ -95,11 +96,21 @@ def format_matrix(matrix: DenseMatrix, field_sep: bytes = b",") -> bytes:
     Cells are guarded as in format_frame, but with no quoting escape hatch,
     so a cell that collides with the layout raises SeparatorCollision.  An
     unsigned value above the int64 range, which would not read back as an
-    integer, raises OutOfRange."""
+    integer, raises OutOfRange.  A float64 matrix of integral cells is
+    spelled by digit arithmetic (see ``_coerce.spell_integral``), with the
+    same bytes as cell by cell."""
     check_layout(field_sep)
     v = matrix.values
     if v.dtype.kind == "u" and v.size and int(v.max()) > INT64_MAX:
         raise OutOfRange(f"unsigned cell {v.max()} exceeds the int64 range")
+    spelled = (spell_integral(v) if v.dtype == np.float64 and v.size
+               and field_sep[0] not in NON_TEXT else None)
+    if spelled is not None:
+        block, keep = spelled
+        block[..., -1] = field_sep[0]
+        block[:, -1, -1] = ord("\n")
+        # np.compress runs far faster here than boolean indexing
+        return np.compress(keep.ravel(), block.ravel()).tobytes()
     ctype = _KIND_TYPES.get(v.dtype.kind, ColumnType.CHARACTER)
     null = np.equal(v, None) if v.dtype.kind == "O" else np.zeros(v.shape, bool)
     last = matrix.n_cols - 1

@@ -317,12 +317,26 @@ def test_failed_mm_that_appended_nothing_allows_rerun(tmp_path, capsysbinary):
     assert code == 1
     assert not marker.exists()
     assert not (tmp_path / "c.mm.names").exists()
+    assert not ckpt.exists()
     code, _, _ = run(["mm", str(a), "--numeric", "V2"] + args, capsysbinary)
     assert code == 0
     assert not marker.exists()
     code, _, err = run(["fit", str(ckpt), "--response", "V1"], capsysbinary)
     assert code == 0
     assert "rows: 3," in err
+
+
+def test_mm_of_an_input_without_records_writes_an_empty_checkpoint(
+        tmp_path, capsysbinary):
+    empty = tmp_path / "e.csv"
+    empty.write_bytes(b"")
+    ckpt = tmp_path / "e.mm"
+    code, _, err = run(["mm", str(empty), "--schema", "i,i", "--response", "V1",
+                        "--numeric", "V2", "--out", str(ckpt)], capsysbinary)
+    assert code == 0, err
+    assert ckpt.read_bytes() == b""
+    assert read_sidecar(ckpt) == ["(Intercept)", "V1", "V2"]
+    assert not (tmp_path / "e.mm.partial").exists()
 
 
 def test_mm_unknown_levels_dropped_and_reported(tmp_path, capsysbinary):

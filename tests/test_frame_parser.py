@@ -20,7 +20,7 @@ from rowstream import (
     tokenize,
 )
 from rowstream._coerce import convert_column, parse_field_ex
-from rowstream.frame import _SAMPLE_RECORDS
+from rowstream.frame import _SAMPLE_RECORDS, _field_offsets
 
 from oracle import _naive_split_fields, naive_parse_frame
 
@@ -347,6 +347,57 @@ def test_whole_frame_matches_naive_reference():
     ref_frame, ref_report = naive_parse_frame(data, schema)
     assert frames_equal(bulk_frame, ref_frame)
     assert bulk_report == ref_report
+
+
+@pytest.mark.parametrize("n_records", [3, 200])
+def test_offset_path_takes_a_64k_field(n_records):
+    """Three records gather the long field as an array; with 200 the array
+    would dwarf the chunk, and the fields come back as a list."""
+    cells = [b"0" * 65535 + b"5", b"\xc3\xa9" * 32768]
+    data = b"".join(
+        b"%d,%s,%s\n" % (i, *(cells if i == 1 else [b"%d.5" % i, b"w%d" % i]))
+        for i in range(n_records)
+    )
+    schema = Schema((I, R, C))
+    assert _field_offsets(data, 3, b",") is not None
+    frame, report = parse_frame(data, schema)
+    ref_frame, ref_report = naive_parse_frame(data, schema)
+    assert frames_equal(frame, ref_frame) and report == ref_report
+    assert frame.columns[1].values[1] == 5.0
+    assert frame.columns[2].values[1] == "\u00e9" * 32768
+
+
+def test_offset_path_takes_an_unterminated_last_record():
+    data = b"1,x\n2,\n3,zz"
+    schema = Schema((I, C))
+    assert _field_offsets(data, 2, b",") is not None
+    frame, report = parse_frame(data, schema)
+    assert frame.columns[0].values.tolist() == [1, 2, 3]
+    assert frame.columns[1].values == ["x", None, "zz"]
+    assert report.n_records == 3
+
+
+@pytest.mark.parametrize("ctype", [I, R, T])
+def test_gathered_column_keeps_its_nulls_when_the_cast_fails(ctype):
+    # the bulk cast writes placeholders at null slots; the scalar fallback
+    # that the bad cell forces must still see the null tokens
+    data = b"1\nNA\n\nx\n"
+    assert _field_offsets(data, 1, b",") is not None
+    frame, report = parse_frame(data, Schema((ctype,)))
+    assert frame.columns[0].mask.tolist() == [False, True, True, True]
+    assert frame.columns[0].values[0] == 1
+    assert report.column_failures == {"V1": 1}
+
+
+@pytest.mark.parametrize("odd,short,long_", [(b"4", 1, 0), (b"4,d,9", 0, 1)])
+def test_one_ragged_record_falls_back_to_tokenize(odd, short, long_):
+    data = b"1,a\n2,b\n" + odd + b"\n5,e\n"
+    schema = Schema((I, C))
+    assert _field_offsets(data, 2, b",") is None
+    frame, report = parse_frame(data, schema)
+    ref_frame, ref_report = naive_parse_frame(data, schema)
+    assert frames_equal(frame, ref_frame) and report == ref_report
+    assert (report.short_rows, report.long_rows) == (short, long_)
 
 
 @settings(max_examples=300, deadline=None)

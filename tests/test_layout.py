@@ -1,15 +1,19 @@
-"""The record layout: one tokenizer and one separator check.
+"""The record layout: two splitters that agree, and one separator check.
 
-``tokenize`` must agree with the per-character reference parser on any
-chunk, whatever the line endings, quoting and raggedness, and every entry
-point that takes a separator must reject the same bad layouts.
+``parse_frame`` and ``tokenize`` must agree with the per-character reference
+parser on any chunk, whatever the line endings, quoting and raggedness,
+whichever splitter serves the chunk, and every entry point that takes a
+separator must reject the same bad layouts.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rowstream.frame
 from rowstream import (
     ColumnType,
     DenseMatrix,
@@ -29,7 +33,7 @@ from rowstream.cli import main
 from oracle import naive_parse_frame
 
 _CELLS = [b"1", b"2.5", b"NA", b"", b'"a,b"', b'"q""q"', b'"', b"\r",
-          b"\x00", b"x", b"TRUE"]
+          b"\x00", b"x", b"TRUE", b"-123456789012345678"]
 
 
 @settings(max_examples=500, deadline=None)
@@ -42,8 +46,7 @@ _CELLS = [b"1", b"2.5", b"NA", b"", b'"a,b"', b'"q""q"', b'"', b"\r",
     limit=st.integers(0, 9),
     types=st.lists(st.sampled_from(list(ColumnType)), min_size=1, max_size=4),
 )
-def test_parse_frame_matches_naive_reference(rows, crlf, final_newline, quote,
-                                             limit, types):
+def _check_against_reference(rows, crlf, final_newline, quote, limit, types):
     eol = b"\r\n" if crlf else b"\n"
     chunk = eol.join(b",".join(r) for r in rows)
     if rows and final_newline:
@@ -58,6 +61,22 @@ def test_parse_frame_matches_naive_reference(rows, crlf, final_newline, quote,
     some_rows, some_quoted = tokenize(chunk, quote=quote, limit=limit)
     assert some_rows == all_rows[:limit]
     assert some_quoted == (None if quote is None else all_quoted[:limit])
+
+
+def test_parse_frame_matches_naive_reference(monkeypatch):
+    """Both splitters must serve some of the examples: the offset scan takes
+    the uniform LF chunks, and tokenize takes the rest."""
+    served = Counter()
+    scan = rowstream.frame._field_offsets
+
+    def counted(*args):
+        offsets = scan(*args)
+        served["offsets" if offsets is not None else "tokenize"] += 1
+        return offsets
+
+    monkeypatch.setattr(rowstream.frame, "_field_offsets", counted)
+    _check_against_reference()
+    assert served["offsets"] and served["tokenize"], served
 
 
 _LAYOUT_USERS = {

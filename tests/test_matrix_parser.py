@@ -92,3 +92,25 @@ def test_chunked_concat_equals_single_parse():
     pieces = [b"".join(rows[:33]), b"".join(rows[33:71]), b"".join(rows[71:])]
     parts = [parse_matrix(p, REAL)[0].values for p in pieces]
     assert np.array_equal(np.vstack(parts), whole.values)
+
+
+def test_64k_field():
+    long_real = b"0" * 65535 + b"5"
+    m, failures = parse_matrix(b"1,2\n3," + long_real + b"\n5,6\n", REAL)
+    assert failures == 0
+    assert m.values.tolist() == [[1.0, 2.0], [3.0, 5.0], [5.0, 6.0]]
+    text = b"x" * 65536
+    m, _ = parse_matrix(b"a,b\n" + text + b",c\n", ColumnType.CHARACTER)
+    assert m.values.tolist() == [["a", "b"], ["x" * 65536, "c"]]
+
+
+def test_unterminated_last_record():
+    m, failures = parse_matrix(b"1,2\n3,4", REAL)
+    assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]] and failures == 0
+
+
+@pytest.mark.parametrize("odd,n", [(b"5", 1), (b"5,6,7", 3)])
+def test_one_ragged_record_is_named(odd, n):
+    with pytest.raises(RaggedInput, match=f"record 2 has {n} fields, "
+                                          "record 0 has 2"):
+        parse_matrix(b"1,2\n3,4\n" + odd + b"\n", REAL)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,49 @@ def test_format_matrix_collides_or_roundtrips(typed, sep):
     assert failures == 0
     assert back.values.shape == values.shape
     assert np.array_equal(_bits(back.values), _bits(values))
+
+
+def _repr_rows(values) -> bytes:
+    """The per-cell spelling of a float matrix: ``repr`` of every cell."""
+    return b"\n".join(
+        b",".join(repr(float(x)).encode() for x in row) for row in values
+    ) + b"\n"
+
+
+_EDGE_REALS = [0.0, -0.0, 1.0, -1.0, 9.0, 10.0, 99.0, 100.0, 2.0**53,
+               2.0**53 + 2, 1e16 - 2, 1e16, -1e15, 5e-324, float("nan"),
+               float("inf"), float("-inf")]
+_INTEGRAL = (st.integers(-1000, 1000) | st.integers(-10**16, 10**16)).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_format_matrix_spells_reals_as_repr(data):
+    """Integral matrices take the digit spelling, others the per-cell one;
+    both must write what ``repr`` writes."""
+    cells = _INTEGRAL | st.sampled_from(_EDGE_REALS)
+    if data.draw(st.booleans()):
+        cells = cells | st.floats()
+    n_rows, n_cols = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 6))
+    values = np.array(data.draw(st.lists(
+        st.lists(cells, min_size=n_cols, max_size=n_cols),
+        min_size=n_rows, max_size=n_rows)), dtype=np.float64)
+    assert format_matrix(DenseMatrix(values)) == _repr_rows(values)
+
+
+@pytest.mark.parametrize("x", _EDGE_REALS)
+def test_format_matrix_real_edges_match_repr(x):
+    values = np.array([[x, 7.0], [-3.0, x]])
+    assert format_matrix(DenseMatrix(values)) == _repr_rows(values)
+
+
+@pytest.mark.parametrize("sep,cell", [(b"-", b"-3.0"), (b".", b"4.0"),
+                                      (b"1", b"1.0")])
+def test_format_matrix_non_text_separator_still_guarded(sep, cell):
+    values = np.array([[4.0, 2.0], [-3.0, 1.0]])
+    message = f"cell {cell!r} needs quoting but no quote byte is configured"
+    with pytest.raises(SeparatorCollision, match=re.escape(message)):
+        format_matrix(DenseMatrix(values), sep)
 
 
 def test_format_matrix_uint64_beyond_int64_is_out_of_range():
