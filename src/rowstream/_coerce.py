@@ -1,6 +1,6 @@
 """Each column type's text spelling, in both directions: ``convert_column``
-reads byte fields and ``render_column`` writes cells that read back the same.
-The writer adds only the layout: guarding, quoting and joining.
+reads byte fields and ``spell_column`` writes cells that read back the same.
+The writer adds only the layout: guarding, quoting and laying out records.
 
 ``_TYPES`` holds one row per column type (see ``_Type``).  Reading has two
 paths: a vectorized one built on numpy's fixed-width bytes casts, and the
@@ -9,7 +9,8 @@ types with no cast and whenever the cast rejects a column.  numpy's
 S-to-int64 cast applies Python ``int()`` semantics and its S-to-float64 cast
 matches the ``np.float64`` scalar constructor, so the two paths accept the
 same grammar and produce bit-identical values; which path runs is purely a
-performance matter and never changes the result.
+performance matter and never changes the result.  A Character column has
+no cast, but it needs none: its fields are joined, decoded once and split.
 
 The one place the vectorized path would lie is NUL bytes: fixed-width bytes
 arrays silently strip trailing ``\\x00``.  Callers detect NULs once per chunk
@@ -18,11 +19,13 @@ inputs.  The same holds for a column the caller has already gathered into an
 ``S`` array (``frame._gather``): only NUL-free chunks are gathered, so the
 array's stripped padding is never part of a field.
 
-Writing a Real has a second path too.  For an integral double below 1e16 in
-magnitude, ``repr`` is exactly its integer digits plus ``.0``, so
-:func:`spell_integral` computes those bytes for a whole matrix with numpy
-digit arithmetic instead of one ``repr`` per cell; its output equals
-``_render_real``'s, cell for cell.
+Writing spells a whole column as one byte block, with no Python object per
+cell (see :func:`spell_column`).  Integers, and reals whose every cell is a
+short decimal, are spelled by numpy digit arithmetic; those bytes are
+exactly what ``repr`` writes.  Any other real column takes one ``repr`` per
+cell, joined into one string, because shortest round-trip printing of an
+arbitrary double has no vectorized form.  Text columns are joined and
+encoded once.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, SeparatorCollision
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -45,8 +48,18 @@ _TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
 _COMPLEX_NULL = complex(float("nan"), float("nan"))
 
-# the bytes of rendered non-text cells; a separator among them needs guarding
-NON_TEXT = frozenset(b"0123456789+-.eEinfa" + _TRUE_TOKENS[0] + _FALSE_TOKENS[0])
+# a real with at most this many decimal places may be spelled by digits
+_MAX_PLACES = 6
+_POW10 = 10.0 ** np.arange(_MAX_PLACES + 1)
+_POW10_INT = 10 ** np.arange(_MAX_PLACES + 1)
+# Below 2**50, the computed a * 10**k is within 1/4 of the integer q whose
+# q / 10**k is the shortest decimal that reads back as a, so rint finds q;
+# nearer 2**53 the rounding of the product could pick a neighbour.
+_DIGIT_LIMIT = 2.0 ** 50
+# FALSE and TRUE as block rows, each with its spare byte
+_LOGICAL_BLOCK = np.frombuffer(b"FALSE\0TRUE\0\0", np.uint8).reshape(2, 6)
+_LOGICAL_KEEP = _LOGICAL_BLOCK != 0
+_LOGICAL_KEEP[:, -1] = True
 
 
 class ColumnType(enum.Enum):
@@ -112,69 +125,172 @@ def _character_scalar(field: bytes):
     return field.decode("utf-8", "surrogateescape")
 
 
-def _render_real(v: float) -> bytes:
-    # the shortest decimal that parses back to the same double
-    return repr(v).encode("ascii")
-
-
-def spell_integral(v: np.ndarray):
-    """Spell every cell of a non-empty float64 array as ``_render_real``
-    does, by digit arithmetic; None unless every cell is integral and below
-    1e16 in magnitude (so NaN and the infinities fall back too).
-
-    Returns ``(block, keep)``: ``block`` holds one row of uint8 bytes per
-    cell (sign, right-aligned digits, ``.0``, then one spare byte that the
-    caller fills with the cell's separator), and ``block[keep]``, in C order,
-    is the cells with their separators run together."""
-    a = np.abs(v)
-    if not (a < 1e16).all():
-        return None
-    q = a.astype(np.int64)
-    if not (q == a).all():
-        return None
-    width = len(str(int(q.max())))
-    block = np.empty(v.shape + (width + 4,), np.uint8)
+def _digit_block(neg, whole, frac=None, places=None):
+    """``(block, keep, {})`` spelling a sign where ``neg``, then ``whole``'s
+    digits without leading zeros, then, when ``frac`` is given, a point and
+    the fraction: 0 spells ``.0``, and an array holds each cell's ``places``
+    digits scaled to ``max(places)`` digits, of which the cell keeps its
+    own."""
+    iw = len(str(int(whole.max())))
+    fw = 0 if frac is None else 1 if places is None else int(places.max())
+    width = iw + 2 + (fw + 1 if frac is not None else 0)
+    block = np.empty(whole.shape + (width,), np.uint8)
     keep = np.ones(block.shape, np.bool_)
     block[..., 0] = ord("-")
-    keep[..., 0] = np.signbit(v)  # so -0.0 spells "-0.0", as repr does
-    for k in range(width, 0, -1):
-        if k < width:
-            keep[..., k] = q > 0  # a leading digit: more of the value is left
+    keep[..., 0] = neg
+    _put_digits(block[..., 1:iw + 1], whole, keep[..., 1:iw + 1])
+    if frac is not None:
+        block[..., iw + 1] = ord(".")
+        _put_digits(block[..., iw + 2:-1], frac)
+    if places is not None:
+        keep[..., iw + 3:-1] = np.arange(2, fw + 1) <= places[..., None]
+    return block, keep, {}
+
+
+def _put_digits(block, q, keep=None):
+    """Write ``q``'s digits right-aligned into ``block``'s last axis; with
+    ``keep``, mark only the digits from the leading one on."""
+    for i in range(block.shape[-1] - 1, -1, -1):
+        if keep is not None and i < block.shape[-1] - 1:
+            keep[..., i] = q > 0  # a leading digit: more of the value is left
         rest = q // 10  # numpy divides by a scalar much faster than divmod
-        block[..., k] = q - rest * 10 + ord("0")
+        block[..., i] = q - rest * 10 + ord("0")
         q = rest
-    block[..., -3:-1] = np.frombuffer(b".0", np.uint8)
-    return block, keep
 
 
-def _render_complex(v: complex) -> bytes:
-    im = _render_real(v.imag)
-    return _render_real(v.real) + (im if im[:1] == b"-" else b"+" + im) + b"i"
+def _joined_block(data: bytes, shape):
+    """``(block, keep, wide)`` for cells joined by LF in ``data``, or None
+    when ``data`` holds more LFs than cell boundaries.  Each block row is a
+    cell's bytes, left-aligned, plus a spare byte.  When one long cell would
+    make the block over four times ``data``, as ``frame._gather`` rules, the
+    block is narrower and ``wide`` maps each cell that does not fit, by flat
+    index, to its bytes."""
+    n = int(np.prod(shape))
+    lf = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+    if len(lf) != n - 1:
+        return None
+    starts = np.concatenate(([0], lf + 1))
+    lens = np.append(lf, len(data)) - starts
+    w = max(int(lens.max()), 3)  # never narrower than NA or nan
+    if n * (w + 1) > 4 * len(data):
+        w = max(4 * len(data) // n - 1, 3)
+    windows = np.ndarray((len(data) + 1,), dtype=f"S{w + 1}",
+                         buffer=data + bytes(w + 1), strides=(1,))
+    block = windows[starts].view(np.uint8).reshape(shape + (w + 1,))
+    keep = (np.arange(w + 1) < lens[:, None]).reshape(block.shape)
+    wide = {}
+    for i in np.flatnonzero(lens > w).tolist():
+        wide[i] = data[starts[i]:starts[i] + lens[i]]
+        keep.reshape(n, -1)[i] = False
+    keep[..., -1] = True
+    return block, keep, wide
 
 
-def _render_text(v) -> bytes:
-    return v.encode("utf-8", "surrogateescape") if isinstance(v, str) else bytes(v)
+def _short_decimals(a):
+    """``(q, places)`` for an array of magnitudes: per cell the least
+    ``places`` k <= _MAX_PLACES with ``rint(a * 10**k) / 10**k == a``, and
+    ``q = rint(a * 10**k)`` as int64; ``places`` is None when every cell is
+    integral.  None when a cell has no such k, or ``repr`` would write it in
+    exponent form (below 1e-4 or from 1e16)."""
+    if not a.max() < 1e16:  # NaN fails too
+        return None
+    q = np.rint(a)
+    todo = q != a
+    if not todo.any():
+        return q.astype(np.int64), None
+    if (todo & (a < 1e-4)).any():
+        return None
+    places = np.zeros(a.shape, np.intp)
+    for k in range(1, _MAX_PLACES + 1):
+        qk = np.rint(a * _POW10[k])
+        done = todo & (qk / _POW10[k] == a) & (qk < _DIGIT_LIMIT)
+        q[done] = qk[done]
+        places[done] = k
+        todo &= ~done
+        if not todo.any():
+            return q.astype(np.int64), places
+    return None
+
+
+def _spell_real(v, mask):
+    v = np.asarray(v, np.float64)
+    a = np.abs(v)
+    if mask.any():
+        a[mask] = 0.0
+    found = _short_decimals(a)
+    if found is None:
+        text = "\n".join(map(repr, v.ravel().tolist()))
+        return _joined_block(text.encode("ascii"), v.shape)
+    q, places = found
+    neg = np.signbit(v)  # so -0.0 spells "-0.0", as repr does
+    if places is None:
+        return _digit_block(neg, q, 0)
+    scale = _POW10_INT[places]
+    whole = q // scale
+    frac = (q - whole * scale) * _POW10_INT[places.max() - places]
+    return _digit_block(neg, whole, frac, places)
+
+
+def _spell_integer(v, mask):
+    v = np.asarray(v)
+    u = v.astype(np.uint64)
+    neg = v < 0
+    # negation wraps in uint64, so INT64_MIN's magnitude 2**63 is exact
+    return _digit_block(neg, np.where(neg, -u, u))
+
+
+def _spell_logical(v, mask):
+    i = np.asarray(v, np.bool_).astype(np.intp)
+    return _LOGICAL_BLOCK[i], _LOGICAL_KEEP[i], {}
+
+
+def _complex_text(v: complex) -> str:
+    im = repr(v.imag)
+    return repr(v.real) + ("" if im[0] == "-" else "+") + im + "i"
+
+
+def _spell_complex(v, mask):
+    v = np.asarray(v, np.complex128)
+    text = "\n".join(map(_complex_text, v.ravel().tolist()))
+    return _joined_block(text.encode("ascii"), v.shape)
+
+
+def _spell_text(values, mask, encode: bool):
+    shape = (len(values),) if isinstance(values, list) else values.shape
+    if mask.any():
+        values = np.array(values, dtype=object)
+        values[mask] = "" if encode else b""
+    if isinstance(values, np.ndarray):
+        values = values.ravel().tolist()
+    data = ("\n".join(values).encode("utf-8", "surrogateescape") if encode
+            else b"\n".join(values))
+    spelled = _joined_block(data, shape)
+    if spelled is None:
+        cell = next(c for c in values if ("\n" if encode else b"\n") in c)
+        cell = cell.encode("utf-8", "surrogateescape") if encode else cell
+        raise SeparatorCollision(f"newline in cell {cell[:40]!r}")
+    return spelled
 
 
 class _Type(NamedTuple):
     read: Callable  # bytes -> value; raises ValueError on a malformed field
-    render: Callable  # value -> bytes
+    spell: Callable  # (values, mask) -> (block, keep, wide); see spell_column
     dtype: object  # of the values array; None for a Python list
     fill: object  # the value at null slots
     cast_null: bytes | None  # null placeholder for numpy's bulk cast, if any
 
 
 _TYPES = {
-    ColumnType.LOGICAL: _Type(_logical_scalar,
-                              lambda v: _TRUE_TOKENS[0] if v else _FALSE_TOKENS[0],
-                              np.bool_, False, None),
-    ColumnType.INTEGER: _Type(_integer_scalar, lambda v: b"%d" % v, np.int64, 0, b"0"),
-    ColumnType.REAL: _Type(_real_scalar, _render_real, np.float64, np.nan, b"nan"),
-    ColumnType.CHARACTER: _Type(_character_scalar, _render_text, None, None, None),
-    ColumnType.BYTES: _Type(bytes, _render_text, None, None, None),
-    ColumnType.COMPLEX: _Type(_complex_scalar, _render_complex, np.complex128,
+    ColumnType.LOGICAL: _Type(_logical_scalar, _spell_logical, np.bool_, False, None),
+    ColumnType.INTEGER: _Type(_integer_scalar, _spell_integer, np.int64, 0, b"0"),
+    ColumnType.REAL: _Type(_real_scalar, _spell_real, np.float64, np.nan, b"nan"),
+    ColumnType.CHARACTER: _Type(_character_scalar,
+                                lambda v, m: _spell_text(v, m, True), None, None, None),
+    ColumnType.BYTES: _Type(bytes, lambda v, m: _spell_text(v, m, False),
+                            None, None, None),
+    ColumnType.COMPLEX: _Type(_complex_scalar, _spell_complex, np.complex128,
                               _COMPLEX_NULL, None),
-    ColumnType.TIMESTAMP: _Type(_timestamp_scalar, _render_real, np.float64, np.nan,
+    ColumnType.TIMESTAMP: _Type(_timestamp_scalar, _spell_real, np.float64, np.nan,
                                 b"nan"),
 }
 
@@ -233,6 +349,19 @@ def _cast_bulk(fields, dtype, placeholder: bytes):
         return None
 
 
+def _text_bulk(fields, ctype):
+    # one join, one decode and one split for the whole column; a field
+    # holds no LF, and a UTF-8 sequence cannot run across one
+    a = _bytes_array(fields)
+    mask = _null_mask(a)
+    cells = a.tolist() if isinstance(fields, np.ndarray) else list(fields)
+    if cells and ctype is ColumnType.CHARACTER:
+        cells = b"\n".join(cells).decode("utf-8", "surrogateescape").split("\n")
+    for i in np.flatnonzero(mask).tolist():
+        cells[i] = None
+    return cells, mask, 0
+
+
 def _column_slow(fields, ctype, quoted):
     row = _TYPES[ctype]
     n = len(fields)
@@ -272,6 +401,8 @@ def convert_column(
     if bulk and quoted is None:  # quoted fields opt out of null-token recognition
         if ctype is ColumnType.LOGICAL:
             return _logical_bulk(fields)
+        if ctype in (ColumnType.CHARACTER, ColumnType.BYTES):
+            return _text_bulk(fields, ctype)
         row = _TYPES[ctype]
         if row.cast_null is not None:
             out = _cast_bulk(fields, row.dtype, row.cast_null)
@@ -282,13 +413,21 @@ def convert_column(
     return _column_slow(fields, ctype, quoted)
 
 
-def render_column(values, mask: np.ndarray, ctype: ColumnType) -> list:
-    """Render a column as one bytes cell per slot: the inverse of
-    :func:`convert_column`.  Masked slots render as ``NA``; every other cell
-    parses back to its value (floats bit for bit)."""
-    render = _TYPES[ctype].render
-    if isinstance(values, np.ndarray):
-        values = values.tolist()  # Python scalars render faster than numpy's
+def spell_column(values, mask: np.ndarray, ctype: ColumnType):
+    """Spell a column (1-D) or matrix (2-D) of cells as ``(block, keep,
+    wide)``: the inverse of :func:`convert_column`.
+
+    ``block`` is a uint8 array with one row of bytes per cell along its last
+    axis, ending in one spare byte for the writer's separator; ``keep`` marks
+    the cell's bytes and the spare byte.  ``wide`` maps the flat index of a
+    cell too long for the block to its bytes.  Masked slots spell ``NA``;
+    every other cell parses back to its value (floats bit for bit).  A text
+    cell holding LF raises SeparatorCollision."""
+    block, keep, wide = _TYPES[ctype].spell(values, mask)
     if mask.any():
-        return [b"NA" if m else render(v) for v, m in zip(values, mask.tolist())]
-    return list(map(render, values))
+        na = np.zeros(block.shape[-1], np.bool_)
+        na[[0, 1, -1]] = True
+        block[mask, :2] = np.frombuffer(b"NA", np.uint8)
+        keep[mask] = na
+        wide = {i: cell for i, cell in wide.items() if not mask.flat[i]}
+    return block, keep, wide

@@ -12,8 +12,8 @@ makes the separator literal.  :func:`check_layout` validates both bytes.
 Two splitters share the layout.  :func:`_field_offsets` finds every field's
 byte offsets with one numpy scan, and :func:`_gather` copies a column of
 fields straight into an ``S`` array, with no Python object per field.  They
-serve the common chunk: one read without a quote byte, holding no CR or NUL,
-whose records all have the schema's field count.  :func:`tokenize` splits
+serve the common chunk: one holding no quote byte, CR or NUL, whose records
+all have the schema's field count.  :func:`tokenize` splits
 every other chunk.
 """
 
@@ -333,7 +333,7 @@ def _uniform_arity(rows) -> int:
 
 def _build_frame(chunk: bytes, schema: Schema):
     n_cols = len(schema.types)
-    offsets = (None if schema.quote is not None
+    offsets = (None if schema.quote is not None and schema.quote in chunk
                else _field_offsets(chunk, n_cols, schema.field_sep))
     short = long_ = 0
     if offsets is not None:

@@ -1,10 +1,14 @@
-"""Per-character reference parser: the test oracle for the bulk parser.
+"""Per-character reference parser and per-cell reference writer: the test
+oracles for the bulk parser and the columnar writer.
 
 The naive parser walks the input one byte at a time, extracts every field as
 its own bytes object, coerces it scalar-by-scalar, and appends row by row —
 the shape of a straightforward hand-rolled reader.  The bulk path in
 ``rowstream.frame`` must produce identical frames and reports on any input
-(balanced quotes assumed when quoting is on).  ``synthetic_csv`` generates
+(balanced quotes assumed when quoting is on).  The naive writer spells one
+``bytes`` object per cell, guards each one and joins rows, and
+``rowstream.writer.format_frame`` must write the same bytes or raise the same
+exception type.  ``synthetic_csv`` generates
 deterministic mixed-type input for the differential and speed checks.
 
 A plain module, not collected by pytest; tests import it as ``oracle``.
@@ -12,8 +16,10 @@ A plain module, not collected by pytest; tests import it as ``oracle``.
 
 import numpy as np
 
-from rowstream._coerce import ColumnType, parse_field_ex
-from rowstream.frame import Column, Frame, ParseReport, Schema, _enforce_strict
+from rowstream._coerce import ColumnType, is_null_token, parse_field_ex
+from rowstream.errors import SeparatorCollision
+from rowstream.frame import (Column, Frame, ParseReport, Schema, _enforce_strict,
+                             check_layout)
 
 _FILL = {
     ColumnType.LOGICAL: False,
@@ -141,6 +147,72 @@ def naive_parse_frame(chunk: bytes, schema: Schema, strict: bool = False):
     if strict:
         _enforce_strict(report)
     return Frame(columns), report
+
+
+def _render_real(v: float) -> bytes:
+    # the shortest decimal that parses back to the same double
+    return repr(v).encode("ascii")
+
+
+def _render_complex(v: complex) -> bytes:
+    im = _render_real(v.imag)
+    return _render_real(v.real) + (im if im[:1] == b"-" else b"+" + im) + b"i"
+
+
+def _render_text(v) -> bytes:
+    return v.encode("utf-8", "surrogateescape") if isinstance(v, str) else bytes(v)
+
+
+_RENDER = {
+    ColumnType.LOGICAL: lambda v: b"TRUE" if v else b"FALSE",
+    ColumnType.INTEGER: lambda v: b"%d" % v,
+    ColumnType.REAL: _render_real,
+    ColumnType.TIMESTAMP: _render_real,
+    ColumnType.COMPLEX: _render_complex,
+    ColumnType.CHARACTER: _render_text,
+    ColumnType.BYTES: _render_text,
+}
+
+
+def _naive_guard(cell: bytes, sep: bytes, quote, last_col: bool) -> bytes:
+    if b"\n" in cell:
+        raise SeparatorCollision(f"newline in cell {cell[:40]!r}")
+    needs = (
+        sep in cell
+        or is_null_token(cell)
+        or (quote is not None and quote in cell)
+        or (last_col and cell.endswith(b"\r"))
+    )
+    if not needs:
+        return cell
+    if quote is None:
+        raise SeparatorCollision(
+            f"cell {cell[:40]!r} needs quoting but no quote byte is configured"
+        )
+    return quote + cell.replace(quote, quote + quote) + quote
+
+
+def naive_format_frame(frame: Frame, field_sep: bytes = b",",
+                       include_header: bool = False, quote=None) -> bytes:
+    """Write with the per-cell reference implementation: one ``bytes`` per
+    cell, ``NA`` for a null, every other cell guarded, rows joined.
+
+    Same contract and same output as :func:`rowstream.format_frame`."""
+    check_layout(field_sep, quote)
+    last = frame.n_cols - 1
+    columns = []
+    for j, col in enumerate(frame.columns):
+        render = _RENDER[col.ctype]
+        values = col.values
+        if isinstance(values, np.ndarray):
+            values = values.tolist()  # Python scalars, as repr expects
+        cells = [b"NA" if m else _naive_guard(render(v), field_sep, quote, j == last)
+                 for v, m in zip(values, col.mask.tolist())]
+        if include_header:
+            cells.insert(0, _naive_guard(_render_text(col.name), field_sep, quote,
+                                         j == last))
+        columns.append(cells)
+    return b"".join(field_sep.join(row) + b"\n" for row in zip(*columns))
 
 
 _WORDS = ("alder", "birch", "cedar", "fir", "hazel", "larch", "maple",

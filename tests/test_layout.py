@@ -33,7 +33,10 @@ from rowstream.cli import main
 from oracle import naive_parse_frame
 
 _CELLS = [b"1", b"2.5", b"NA", b"", b'"a,b"', b'"q""q"', b'"', b"\r",
-          b"\x00", b"x", b"TRUE", b"-123456789012345678"]
+          b"\x00", b"x", b"TRUE", b"-123456789012345678", b"caf\xc3\xa9",
+          b"\xe2\x82", b"\xff"]
+# the drawn quote byte of the example being checked, for the count below
+_drawn = {}
 
 
 @settings(max_examples=500, deadline=None)
@@ -42,16 +45,21 @@ _CELLS = [b"1", b"2.5", b"NA", b"", b'"a,b"', b'"q""q"', b'"', b"\r",
                   max_size=8),
     crlf=st.booleans(),
     final_newline=st.booleans(),
-    quote=st.sampled_from([None, b'"']),
+    quote=st.sampled_from([None, b'"', b"'"]),
     limit=st.integers(0, 9),
     types=st.lists(st.sampled_from(list(ColumnType)), min_size=1, max_size=4),
+    uniform=st.booleans(),
 )
-def _check_against_reference(rows, crlf, final_newline, quote, limit, types):
+def _check_against_reference(rows, crlf, final_newline, quote, limit, types,
+                             uniform):
+    if uniform:  # every record has the schema's field count
+        rows = [(row + [b"x"] * len(types))[:len(types)] for row in rows]
     eol = b"\r\n" if crlf else b"\n"
     chunk = eol.join(b",".join(r) for r in rows)
     if rows and final_newline:
         chunk += eol
     schema = Schema(tuple(types), quote=quote)
+    _drawn["quote"] = quote
     frame, report = parse_frame(chunk, schema)
     ref_frame, ref_report = naive_parse_frame(chunk, schema)
     assert frames_equal(frame, ref_frame)
@@ -65,18 +73,21 @@ def _check_against_reference(rows, crlf, final_newline, quote, limit, types):
 
 def test_parse_frame_matches_naive_reference(monkeypatch):
     """Both splitters must serve some of the examples: the offset scan takes
-    the uniform LF chunks, and tokenize takes the rest."""
+    the uniform LF chunks that hold no quote byte, whether or not the schema
+    sets one, and tokenize takes the rest."""
     served = Counter()
     scan = rowstream.frame._field_offsets
 
     def counted(*args):
         offsets = scan(*args)
-        served["offsets" if offsets is not None else "tokenize"] += 1
+        splitter = "offsets" if offsets is not None else "tokenize"
+        served[splitter, _drawn["quote"] is not None] += 1
         return offsets
 
     monkeypatch.setattr(rowstream.frame, "_field_offsets", counted)
     _check_against_reference()
-    assert served["offsets"] and served["tokenize"], served
+    assert (served["offsets", False] and served["offsets", True]
+            and served["tokenize", False]), served
 
 
 _LAYOUT_USERS = {

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from rowstream import (
     sidecar_path,
     write_sidecar,
 )
-from conftest import INT64_MAX, INT64_MIN, random_frame, roundtrip
+from conftest import FRAME_TYPES, INT64_MAX, INT64_MIN, random_frame, roundtrip
+from oracle import naive_format_frame
 
 
 def int_column(name, values, mask=None):
@@ -295,3 +297,100 @@ def test_reserialization_is_idempotent():
     back, _ = roundtrip(frame)
     second = format_frame(back, quote=b'"')
     assert first == second
+
+
+_DECIMALS = st.builds(lambda q, k: q / 10**k, st.integers(-10**12, 10**12),
+                      st.integers(1, 7))
+_REAL_EDGES = [0.0, -0.0, 1e-4, -1e-4, float(np.nextafter(1e-4, 0)), 1e16,
+               float(np.nextafter(1e16, 0)), -1e16, 5e-324, -1e-310,
+               2.2250738585072014e-308, 2.0**50 / 10, 2.0**53 / 1e6, 0.1, 0.125,
+               float("nan"), float("inf"), float("-inf")]
+_TEXT = ["", "NA", "NA ", "x", "e", "T", "-", ",", "|", '"', "'", "\r", "x\r",
+         "a\rb", "\x00", "a\x00b", "caf\u00e9", "\u771f\u590f", "\udc80",
+         "\udcff\udc80", "1.5", "\n", "y" * 80]
+_CELLS = {
+    ColumnType.LOGICAL: st.booleans(),
+    ColumnType.INTEGER: st.integers(INT64_MIN, INT64_MAX)
+    | st.sampled_from([INT64_MIN, INT64_MAX, 0, -1]),
+    ColumnType.COMPLEX: st.complex_numbers(),
+    ColumnType.CHARACTER: st.sampled_from(_TEXT)
+    | st.text(st.characters(exclude_categories=("Cs",)), max_size=3),
+    ColumnType.BYTES: st.sampled_from([t.encode("utf-8", "surrogateescape")
+                                       for t in _TEXT]) | st.binary(max_size=3),
+}
+# a column of short decimals takes the digit spelling, any other repr
+_REAL_COLUMNS = [_DECIMALS | st.integers(-10**15, 10**15).map(float),
+                 _DECIMALS | st.floats() | st.sampled_from(_REAL_EDGES)]
+_DTYPES = {ColumnType.LOGICAL: np.bool_, ColumnType.INTEGER: np.int64,
+           ColumnType.REAL: np.float64, ColumnType.TIMESTAMP: np.float64,
+           ColumnType.COMPLEX: np.complex128}
+
+
+@st.composite
+def _frames(draw):
+    n_rows = draw(st.integers(0, 6))
+    columns = []
+    for ctype in draw(st.lists(st.sampled_from(FRAME_TYPES), min_size=1, max_size=4)):
+        if ctype in (ColumnType.REAL, ColumnType.TIMESTAMP):
+            cell = draw(st.sampled_from(_REAL_COLUMNS))
+        else:
+            cell = _CELLS[ctype]
+        values = draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n_rows,
+                                      max_size=n_rows)), dtype=bool)
+        if ctype in _DTYPES:
+            values = np.array(values, dtype=_DTYPES[ctype])
+        else:
+            values = [None if m else v for v, m in zip(values, mask.tolist())]
+        name = draw(st.sampled_from(["v", "a,b", "", "NA", "caf\u00e9", "e", "T\r"]))
+        columns.append(Column(name, ctype, values, mask))
+    return Frame(columns)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_frames(), st.sampled_from([b",", b"e", b"T", b"-", b".", b"N", b"\t"]),
+       st.sampled_from([None, b'"', b"-", b"'"]), st.booleans())
+def test_format_frame_matches_naive_writer(frame, sep, quote, header):
+    """The columnar writer writes what the per-cell oracle writes, or raises
+    the same exception type."""
+    if quote == sep:
+        quote = None
+    try:
+        want = naive_format_frame(frame, sep, header, quote)
+    except SeparatorCollision:
+        with pytest.raises(SeparatorCollision):
+            format_frame(frame, sep, header, quote)
+        return
+    assert format_frame(frame, sep, header, quote) == want
+
+
+def test_quote_byte_inside_a_number_is_quoted():
+    # a quote byte that numbers spell, such as "-", must be guarded too
+    frame = Frame([int_column("a", [-5, 3]),
+                   Column("b", ColumnType.REAL, np.array([-0.5, 2.0]),
+                          np.zeros(2, dtype=bool))])
+    out = format_frame(frame, quote=b"-")
+    assert out == b"---5-,---0.5-\n3,2.0\n"
+    back, _ = roundtrip(frame, quote=b"-")
+    assert frames_equal(back, Frame([int_column("V1", [-5, 3]), Column(
+        "V2", ColumnType.REAL, np.array([-0.5, 2.0]), np.zeros(2, dtype=bool))]))
+
+
+def test_one_long_text_cell_does_not_widen_every_row():
+    """A text column is spelled as a block of one row per cell; one long
+    cell among short ones is spliced in on its own rather than setting the
+    block's width.  The block and its keep mask are each at most four times
+    the column's bytes, and laying out copies both once, so the peak is
+    about 17 times the output here; a 500 x 40,001 block would take 20 MB,
+    460 times the output, before its mask and copies."""
+    cells = ["ab"] * 500
+    cells[7] = "x" * 40_000
+    frame = Frame([int_column("i", np.arange(500)), char_column("v", cells)])
+    tracemalloc.start()
+    try:
+        out = format_frame(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == naive_format_frame(frame)
+    assert peak < 20 * len(out), (peak, len(out))
