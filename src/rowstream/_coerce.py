@@ -50,16 +50,15 @@ _COMPLEX_NULL = complex(float("nan"), float("nan"))
 
 # a real with at most this many decimal places may be spelled by digits
 _MAX_PLACES = 6
-_POW10 = 10.0 ** np.arange(_MAX_PLACES + 1)
-_POW10_INT = 10 ** np.arange(_MAX_PLACES + 1)
+_POW10_INT = np.array([10 ** k for k in range(_MAX_PLACES + 1)])
+_POW10 = _POW10_INT.astype(np.float64)
 # Below 2**50, the computed a * 10**k is within 1/4 of the integer q whose
 # q / 10**k is the shortest decimal that reads back as a, so rint finds q;
 # nearer 2**53 the rounding of the product could pick a neighbour.
 _DIGIT_LIMIT = 2.0 ** 50
 # FALSE and TRUE as block rows, each with its spare byte
 _LOGICAL_BLOCK = np.frombuffer(b"FALSE\0TRUE\0\0", np.uint8).reshape(2, 6)
-_LOGICAL_KEEP = _LOGICAL_BLOCK != 0
-_LOGICAL_KEEP[:, -1] = True
+_LOGICAL_KEEP = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 1]], np.bool_)
 
 
 class ColumnType(enum.Enum):
@@ -353,10 +352,19 @@ def _text_bulk(fields, ctype):
     # one join, one decode and one split for the whole column; a field
     # holds no LF, and a UTF-8 sequence cannot run across one
     a = _bytes_array(fields)
+    if not len(a):
+        return [], np.zeros(0, np.bool_), 0
+    if isinstance(fields, np.ndarray):
+        # joined straight from the array, with no bytes object per field:
+        # its NULs are all padding
+        u = np.full((len(a), a.dtype.itemsize + 1), 10, np.uint8)
+        u[:, :-1] = a.view(np.uint8).reshape(len(a), -1)
+        joined = u[u != 0][:-1].tobytes()
+    else:
+        joined = b"\n".join(fields)
+    cells = (joined.decode("utf-8", "surrogateescape").split("\n")
+             if ctype is ColumnType.CHARACTER else joined.split(b"\n"))
     mask = _null_mask(a)
-    cells = a.tolist() if isinstance(fields, np.ndarray) else list(fields)
-    if cells and ctype is ColumnType.CHARACTER:
-        cells = b"\n".join(cells).decode("utf-8", "surrogateescape").split("\n")
     for i in np.flatnonzero(mask).tolist():
         cells[i] = None
     return cells, mask, 0

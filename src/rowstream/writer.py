@@ -44,6 +44,8 @@ _KIND_TYPES = {"f": ColumnType.REAL, "i": ColumnType.INTEGER, "u": ColumnType.IN
                "b": ColumnType.LOGICAL, "c": ColumnType.COMPLEX,
                "S": ColumnType.BYTES}
 _TEXT = (ColumnType.CHARACTER, ColumnType.BYTES)
+# block bytes laid out per np.compress call
+_SLICE_BYTES = 1 << 16
 
 
 def _guard(cell: bytes, sep: bytes, quote, last_col: bool) -> bytes:
@@ -130,13 +132,16 @@ def _compress(parts, sep: bytes) -> bytes:
     for block, *_ in parts:
         block[..., -1] = sep[0]
     parts[-1][0][:, -1, -1] = ord("\n")
-    if len(parts) == 1:
-        block, keep = parts[0][:2]
-    else:
-        block = np.concatenate([p[0].reshape(n, -1) for p in parts], axis=1)
-        keep = np.concatenate([p[1].reshape(n, -1) for p in parts], axis=1)
-    # np.compress runs far faster here than boolean indexing
-    return np.compress(keep.ravel(), block.ravel()).tobytes()
+    rows = [(p[0].reshape(n, -1), p[1].reshape(n, -1)) for p in parts]
+    # np.compress runs far faster here than boolean indexing, but builds an
+    # index of eight bytes per kept byte, so it takes a slice of rows at once
+    step = max(1, _SLICE_BYTES // sum(block.shape[1] for block, _ in rows))
+    pieces = []
+    for lo in range(0, n, step):
+        block = np.concatenate([b[lo:lo + step] for b, _ in rows], axis=1)
+        keep = np.concatenate([k[lo:lo + step] for _, k in rows], axis=1)
+        pieces.append(np.compress(keep.ravel(), block.ravel()))
+    return b"".join(pieces)
 
 
 def _splice(out: bytes, parts, odd: dict, width: int) -> bytes:
