@@ -3,8 +3,8 @@
 Each column's spelling comes from ``_coerce.spell_column`` as one byte
 block, a row of bytes per cell plus a spare byte; this module owns only the
 layout.  Frames and matrices share it: the spare bytes become separators
-and LFs, the column blocks are set side by side, and one ``np.compress``
-keeps each record's bytes in order.
+and LFs, the column blocks are set side by side, and ``np.compress`` keeps
+each record's bytes in order.
 
 Cells that would be misread on the way back in (a separator, LF or quote
 inside the cell, a text cell spelled ``""`` or like a null token, or a
@@ -72,8 +72,8 @@ def _odd_text(block, keep, ends_record: bool):
     odd = (lens == 0) | ((lens == 2) & (block[..., 0] == ord("N"))
                          & (block[..., 1] == ord("A")))
     if ends_record:
-        tail = np.maximum(lens[:, -1] - 1, 0)
-        odd[:, -1] |= (lens[:, -1] > 0) & (block[np.arange(len(block)), -1, tail] == 13)
+        last = block[np.arange(len(block)), -1, np.maximum(lens[:, -1] - 1, 0)]
+        odd[:, -1] |= (lens[:, -1] > 0) & (last == ord("\r"))
     return odd
 
 
