@@ -4,13 +4,17 @@ The writer adds only the layout: guarding, quoting and laying out records.
 
 ``_TYPES`` holds one row per column type (see ``_Type``).  Reading has two
 paths: a vectorized one built on numpy's fixed-width bytes casts, and the
-per-field loop ``_column_slow`` that serves every type: it runs for the
-types with no cast and whenever the cast rejects a column.  numpy's
-S-to-int64 cast applies Python ``int()`` semantics and its S-to-float64 cast
-matches the ``np.float64`` scalar constructor, so the two paths accept the
-same grammar and produce bit-identical values; which path runs is purely a
-performance matter and never changes the result.  A Character column has
-no cast, but it needs none: its fields are joined, decoded once and split.
+per-field loop ``_column_slow`` that serves the types with no cast, quoted
+fields and NUL-bearing chunks.  When a column's one cast fails,
+``_cast_bulk`` casts it again in blocks of ``_BLOCK_ROWS`` rows, halves each
+failing block down to the cells it rejects, and runs the type's scalar
+``read`` on those cells only, so a calendar Timestamp cell still parses and
+an out-of-range integer still fails.  numpy's S-to-int64 cast applies
+Python ``int()`` semantics and its S-to-float64 cast matches the
+``np.float64`` scalar constructor, so the two paths accept the same grammar
+and produce bit-identical values; which path runs is purely a performance
+matter and never changes the result.  A Character column has no cast, but
+it needs none: its fields are joined, decoded once and split.
 
 The one place the vectorized path would lie is NUL bytes: fixed-width bytes
 arrays silently strip trailing ``\\x00``.  Callers detect NULs once per chunk
@@ -56,6 +60,8 @@ _POW10 = _POW10_INT.astype(np.float64)
 # q / 10**k is the shortest decimal that reads back as a, so rint finds q;
 # nearer 2**53 the rounding of the product could pick a neighbour.
 _DIGIT_LIMIT = 2.0 ** 50
+# rows per block when a column's one cast fails and its bad cells are sought
+_BLOCK_ROWS = 64
 # FALSE and TRUE as block rows, each with its spare byte
 _LOGICAL_BLOCK = np.frombuffer(b"FALSE\0TRUE\0\0", np.uint8).reshape(2, 6)
 _LOGICAL_KEEP = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 1]], np.bool_)
@@ -336,16 +342,44 @@ def _logical_bulk(fields):
     return true, null | bad, int(bad.sum())
 
 
-def _cast_bulk(fields, dtype, placeholder: bytes):
+def _cast_bulk(fields, row: _Type):
     a = _bytes_array(fields)
     mask = _null_mask(a)
     if mask.any():
-        # a new array: the scalar fallback must still see the null tokens
-        a = np.where(mask, np.bytes_(placeholder), a)
+        a = np.where(mask, np.bytes_(row.cast_null), a)
     try:
-        return a.astype(dtype), mask, 0
+        return a.astype(row.dtype), mask, 0
     except (ValueError, OverflowError):
-        return None
+        pass
+    # cast again block by block, and read only the cells no cast takes
+    values = np.empty(len(a), row.dtype)
+    bad = []
+    for lo in range(0, len(a), _BLOCK_ROWS):
+        _cast_or_bisect(a, values, lo, min(lo + _BLOCK_ROWS, len(a)), bad)
+    failures = 0
+    for i in bad:
+        try:
+            values[i] = row.read(fields[i])
+        except ValueError:
+            values[i] = row.fill
+            mask[i] = True
+            failures += 1
+    return values, mask, failures
+
+
+def _cast_or_bisect(a, values, lo: int, hi: int, bad: list):
+    """Cast ``a[lo:hi]`` into ``values``; where the cast fails, halve the
+    range until the cells it rejects are found, and append their indices to
+    ``bad``."""
+    try:
+        values[lo:hi] = a[lo:hi].astype(values.dtype)
+    except (ValueError, OverflowError):
+        if hi - lo == 1:
+            bad.append(lo)
+            return
+        mid = (lo + hi) // 2
+        _cast_or_bisect(a, values, lo, mid, bad)
+        _cast_or_bisect(a, values, mid, hi, bad)
 
 
 def _text_bulk(fields, ctype):
@@ -413,9 +447,7 @@ def convert_column(
             return _text_bulk(fields, ctype)
         row = _TYPES[ctype]
         if row.cast_null is not None:
-            out = _cast_bulk(fields, row.dtype, row.cast_null)
-            if out is not None:
-                return out
+            return _cast_bulk(fields, row)
     if isinstance(fields, np.ndarray):
         fields = fields.tolist()
     return _column_slow(fields, ctype, quoted)

@@ -1,10 +1,10 @@
 """Typed column frames parsed from delimited byte chunks.
 
 The parser is bulk-first: a chunk is split into records and fields (see
-below), and each column is coerced with one vectorized numpy cast.  Columns
-that the vectorized cast rejects fall back to per-field coercion with
-identical semantics, so parse results never depend on chunk boundaries or
-on which path ran.
+below), and each column is coerced with one vectorized numpy cast.  The
+cells a cast rejects are found and read one by one with identical
+semantics, so parse results never depend on chunk boundaries or on which
+path ran.
 
 This module owns the record layout: a record ends at LF (one trailing CR is
 dropped), fields are split on one separator byte, and an optional quote byte
@@ -12,9 +12,12 @@ makes the separator literal.  :func:`check_layout` validates both bytes.
 Two splitters share the layout.  :func:`_field_offsets` finds every field's
 byte offsets with one numpy scan, and :func:`_gather` copies a column of
 fields straight into an ``S`` array, with no Python object per field.  They
-serve the common chunk: one holding no quote byte, CR or NUL, whose records
-all have the schema's field count.  :func:`tokenize` splits
-every other chunk.
+serve every chunk that holds no quote byte and no NUL, CRLF and ragged
+records included: the CR before an LF ends the last field early, each
+record's field count comes from its LF, a short record's missing fields are
+empty and a long record's extra ones are dropped.  :func:`tokenize` splits
+quoted and NUL-bearing chunks, and the records that :func:`infer_schema`
+samples and :func:`_header_names` reads.
 """
 
 from __future__ import annotations
@@ -279,26 +282,44 @@ def split_quoted(record: bytes, sep: bytes, quote: bytes):
     return fields, flags
 
 
-def _field_offsets(chunk: bytes, ncol: int, sep: bytes):
-    """``(starts, ends)``, the byte offsets of every field as two
-    ``(records, ncol)`` arrays, when every record of ``chunk`` has exactly
-    ``ncol`` fields and :func:`tokenize` would neither drop a CR nor meet a
-    NUL; otherwise None, as for an empty chunk.  Quotes are not looked for,
-    and ``sep`` must already have passed :func:`check_layout`."""
-    if not chunk or b"\r" in chunk or b"\x00" in chunk:
+def _field_offsets(chunk: bytes, ncol: int | None, sep: bytes):
+    """``(starts, ends, counts)`` for the fields :func:`tokenize` would split
+    from ``chunk``: ``counts`` holds each record's field count, and
+    ``starts`` and ``ends`` the byte offsets of its first ``ncol`` fields
+    (record 0's count when ``ncol`` is None) as two ``(records, ncol)``
+    arrays, where a short record's missing fields are empty.  None for an
+    empty chunk or one holding a NUL.  Quotes are not looked for, and
+    ``sep`` must already have passed :func:`check_layout`."""
+    if not chunk or b"\x00" in chunk:
         return None
     if not chunk.endswith(b"\n"):
         chunk += b"\n"  # an unterminated last record ends with the chunk
     a = np.frombuffer(chunk, np.uint8)
     ends = np.flatnonzero((a == sep[0]) | (a == 10))
     lf = a[ends] == 10
-    if (len(ends) % ncol or not lf[ncol - 1::ncol].all()
-            or np.count_nonzero(lf) * ncol != len(ends)):
-        return None
+    last = np.flatnonzero(lf)  # each record's last field
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    return starts.reshape(-1, ncol), ends.reshape(-1, ncol)
+    cr = last[a[ends[last] - 1] == 13]  # the CR tokenize drops before LF
+    if len(cr) and sep == b"\r":
+        # that CR is a separator: its record loses the empty field after it
+        lf[cr - 1] = True
+        keep = np.ones(len(ends), np.bool_)
+        keep[cr] = False
+        starts, ends, lf = starts[keep], ends[keep], lf[keep]
+        last = np.flatnonzero(lf)
+    else:
+        ends[cr] -= 1  # the CR lies in the record's last field
+    counts = np.diff(last, prepend=-1)
+    ncol = ncol or int(counts[0])
+    if (counts == ncol).all():
+        return starts.reshape(-1, ncol), ends.reshape(-1, ncol), counts
+    idx = np.minimum((last - counts + 1)[:, None] + np.arange(ncol),
+                     last[:, None])
+    ends = ends[idx]
+    starts = np.where(np.arange(ncol) < counts[:, None], starts[idx], ends)
+    return starts, ends, counts
 
 
 def _gather(chunk: bytes, starts: np.ndarray, ends: np.ndarray):
@@ -319,48 +340,39 @@ def _gather(chunk: bytes, starts: np.ndarray, ends: np.ndarray):
     return fields
 
 
-def _uniform_arity(rows) -> int:
-    """The field count every row shares (0 without rows); RaggedInput
-    names the first row that differs."""
-    arity = len(rows[0]) if rows else 0
-    for i, row in enumerate(rows):
-        if len(row) != arity:
-            raise RaggedInput(
-                f"record {i} has {len(row)} fields, record 0 has {arity}"
-            )
-    return arity
+def _uniform_arity(counts) -> int:
+    """The field count every record shares, given each record's count (0
+    without records); RaggedInput names the first record that differs."""
+    counts = np.asarray(counts, np.intp)
+    if not len(counts):
+        return 0
+    bad = np.flatnonzero(counts != counts[0])
+    if len(bad):
+        i = bad[0]
+        raise RaggedInput(
+            f"record {i} has {counts[i]} fields, record 0 has {counts[0]}"
+        )
+    return int(counts[0])
 
 
 def _build_frame(chunk: bytes, schema: Schema):
     n_cols = len(schema.types)
     offsets = (None if schema.quote is not None and schema.quote in chunk
                else _field_offsets(chunk, n_cols, schema.field_sep))
-    short = long_ = 0
     if offsets is not None:
-        starts, ends = offsets
-        n_records = len(starts)
+        starts, ends, counts = offsets
 
         def fields(j):
             return _gather(chunk, starts[:, j], ends[:, j]), None
     else:
         rows, qrows = tokenize(chunk, schema.field_sep, schema.quote)
-        n_records = len(rows)
-        for idx, row in enumerate(rows):
-            k = len(row)
-            if k < n_cols:
-                short += 1
-                row.extend([b""] * (n_cols - k))
-                if qrows is not None:
-                    qrows[idx].extend([False] * (n_cols - k))
-            elif k > n_cols:
-                long_ += 1
-                del row[n_cols:]
-                if qrows is not None:
-                    del qrows[idx][n_cols:]
+        counts = np.array([len(row) for row in rows], np.intp)
 
         def fields(j):
-            return ([row[j] for row in rows],
-                    [q[j] for q in qrows] if qrows is not None else None)
+            # a short record's missing fields are empty and unquoted
+            return ([row[j] if j < len(row) else b"" for row in rows],
+                    None if qrows is None else
+                    [j < len(q) and q[j] for q in qrows])
     bulk = b"\x00" not in chunk
     names = schema.out_names()
     columns = []
@@ -374,7 +386,8 @@ def _build_frame(chunk: bytes, schema: Schema):
         columns.append(Column(names[out_i], ctype, values, mask))
         failures[names[out_i]] = fails
         out_i += 1
-    report = ParseReport(n_records, short, long_, failures)
+    report = ParseReport(len(counts), int(np.count_nonzero(counts < n_cols)),
+                         int(np.count_nonzero(counts > n_cols)), failures)
     return Frame(columns), report
 
 
@@ -442,7 +455,7 @@ def infer_schema(sample: bytes, field_sep: bytes = b",") -> Schema:
     if not rows:
         raise SchemaError("cannot infer a schema from an empty sample")
     types = [_infer_column([row[j] for row in rows])
-             for j in range(_uniform_arity(rows))]
+             for j in range(_uniform_arity([len(row) for row in rows]))]
     return Schema(types=tuple(types), field_sep=field_sep)
 
 

@@ -67,15 +67,14 @@ def parse_matrix(chunk: bytes, elem_type: ColumnType, field_sep: bytes = b","):
     if elem_type not in MATRIX_TYPES:
         raise SchemaError(f"matrices cannot hold {elem_type.value} elements")
     check_layout(field_sep)
-    ncol = chunk.split(b"\n", 1)[0].count(field_sep) + 1
-    offsets = _field_offsets(chunk, ncol, field_sep)
+    offsets = _field_offsets(chunk, None, field_sep)
     if offsets is not None:
-        starts, ends = offsets
-        n_rows, arity = starts.shape
+        starts, ends, counts = offsets
+        n_rows, arity = len(counts), _uniform_arity(counts)
         fields = _gather(chunk, starts.ravel(), ends.ravel())
     else:
         rows = tokenize(chunk, field_sep)[0]
-        n_rows, arity = len(rows), _uniform_arity(rows)
+        n_rows, arity = len(rows), _uniform_arity([len(row) for row in rows])
         fields = [f for row in rows for f in row]
     bulk = b"\x00" not in chunk
     values, _mask, failures = convert_column(fields, elem_type, None, bulk)

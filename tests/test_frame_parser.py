@@ -16,11 +16,14 @@ from rowstream import (
     infer_schema,
     parse_frame,
     parse_frame_with_header,
+    parse_matrix,
     split_quoted,
     tokenize,
 )
-from rowstream._coerce import convert_column, parse_field_ex
-from rowstream.frame import _SAMPLE_RECORDS, _field_offsets
+import rowstream.frame
+import rowstream.matrix
+from rowstream._coerce import _column_slow, convert_column, parse_field_ex
+from rowstream.frame import _SAMPLE_RECORDS, _field_offsets, _gather
 
 from oracle import _naive_split_fields, naive_parse_frame
 
@@ -333,6 +336,62 @@ def test_bulk_and_scalar_paths_agree(ctype):
         assert fv[keep].tolist() == sv[keep].tolist()
 
 
+_GOOD_CELLS = {
+    I: [b"0", b"-7", b"123", b"9223372036854775807", b"-9223372036854775808"],
+    R: [b"0.5", b"-1e300", b"5e-324", b"inf", b"-0.0", b"12"],
+    T: [b"0.5", b"1700000000", b"-3.25", b"1e10"],
+}
+_BAD_CELLS = {
+    I: [b"x", b"1.5", b"1e3", b"9223372036854775808",
+        b"-9223372036854775809"],
+    R: [b"x", b"1e", b"--1", b"12..", b"2020-01-02 03:04:05"],
+    # calendar cells fail the cast but not the scalar read
+    T: [b"x", b"2020-01-02 03:04:05", b"1970-01-01 00:00:00",
+        b"2020-13-01 00:00:00", b"9223372036854775808"],
+}
+
+
+@st.composite
+def _column_with_bad_cells(draw):
+    ctype = draw(st.sampled_from([I, R, T]))
+    n = draw(st.sampled_from([1, 2, 63, 64, 65]) | st.integers(1, 300))
+    good = st.sampled_from(_GOOD_CELLS[ctype] + [b"", b"NA"])
+    bad = st.sampled_from(_BAD_CELLS[ctype])
+    cells = draw(st.lists(good, min_size=n, max_size=n))
+    where = draw(st.sampled_from(["first", "last", "adjacent", "all", "some"]))
+    if where == "all":
+        spots = range(n)
+    elif where == "some":
+        spots = draw(st.sets(st.integers(0, n - 1), max_size=8))
+    else:
+        i = (0 if where == "first" else n - 1 if where == "last"
+             else draw(st.integers(0, n - 1)))
+        spots = [i, min(i + 1, n - 1)]
+        if i > 0:
+            cells[i - 1] = draw(st.sampled_from([b"", b"NA"]))
+    for i in spots:
+        cells[i] = draw(bad)
+    return ctype, cells
+
+
+@settings(max_examples=400, deadline=None)
+@given(_column_with_bad_cells())
+def test_bad_cell_search_matches_the_whole_column_reread(drawn):
+    """The bulk cast's search for bad cells gives what re-reading the whole
+    column cell by cell gives: bit-identical values, equal masks and
+    failure counts."""
+    ctype, cells = drawn
+    data = b"\n".join(cells) + b"\n"
+    starts, ends, _ = _field_offsets(data, 1, b",")
+    gathered = _gather(data, starts[:, 0], ends[:, 0])
+    values, mask, failures = convert_column(gathered, ctype)
+    ref_values, ref_mask, ref_failures = _column_slow(cells, ctype, None)
+    assert failures == ref_failures
+    assert mask.tolist() == ref_mask.tolist()
+    assert values.dtype == ref_values.dtype
+    assert values.tobytes() == ref_values.tobytes()
+
+
 def test_whole_frame_matches_naive_reference():
     rows = []
     for i in range(200):
@@ -379,8 +438,8 @@ def test_offset_path_takes_an_unterminated_last_record():
 
 @pytest.mark.parametrize("ctype", [I, R, T])
 def test_gathered_column_keeps_its_nulls_when_the_cast_fails(ctype):
-    # the bulk cast writes placeholders at null slots; the scalar fallback
-    # that the bad cell forces must still see the null tokens
+    # the bulk cast writes placeholders at null slots; the search for the
+    # bad cell must leave those slots null
     data = b"1\nNA\n\nx\n"
     assert _field_offsets(data, 1, b",") is not None
     frame, report = parse_frame(data, Schema((ctype,)))
@@ -389,15 +448,78 @@ def test_gathered_column_keeps_its_nulls_when_the_cast_fails(ctype):
     assert report.column_failures == {"V1": 1}
 
 
-@pytest.mark.parametrize("odd,short,long_", [(b"4", 1, 0), (b"4,d,9", 0, 1)])
-def test_one_ragged_record_falls_back_to_tokenize(odd, short, long_):
-    data = b"1,a\n2,b\n" + odd + b"\n5,e\n"
-    schema = Schema((I, C))
-    assert _field_offsets(data, 2, b",") is None
+def _scan_and_tokenize_agree(data, schema, monkeypatch):
+    """Parse ``data`` on the offset scan and again on tokenize, and check
+    both against the reference; returns the scan's report."""
+    assert _field_offsets(data, len(schema.types), schema.field_sep) is not None
     frame, report = parse_frame(data, schema)
     ref_frame, ref_report = naive_parse_frame(data, schema)
     assert frames_equal(frame, ref_frame) and report == ref_report
+    monkeypatch.setattr(rowstream.frame, "_field_offsets", lambda *a: None)
+    tok_frame, tok_report = parse_frame(data, schema)
+    assert frames_equal(frame, tok_frame) and report == tok_report
+    return report
+
+
+@pytest.mark.parametrize("odd,short,long_", [(b"4", 1, 0), (b"4,d,9", 0, 1)])
+def test_one_ragged_record_is_served_by_the_scan(odd, short, long_, monkeypatch):
+    data = b"1,a\n2,b\n" + odd + b"\n5,e\n"
+    report = _scan_and_tokenize_agree(data, Schema((I, C)), monkeypatch)
     assert (report.short_rows, report.long_rows) == (short, long_)
+
+
+@pytest.mark.parametrize("data,last_column", [
+    (b"1,a\r\n2,b\r\n", ["a", "b"]),  # CRLF
+    (b"1,a\r\r\n2,b\n", ["a\r", "b"]),  # CR CR LF: one CR is dropped
+    (b"1,a\rx\n2,\rb\r\n", ["a\rx", "\rb"]),  # a lone CR mid-field stays
+    (b"1,a\r\n\r\n3,c\n", ["a", None, "c"]),  # an empty record
+    (b"1,a\n2,b\r", ["a", "b"]),  # an unterminated last record with CR
+    (b"1\r\n2,b,x\r\n", [None, "b"]),  # a short and a long record
+    (b"\r", [None]),
+])
+def test_crlf_records_are_served_by_the_scan(data, last_column, monkeypatch):
+    report = _scan_and_tokenize_agree(data, Schema((I, C)), monkeypatch)
+    frame, _ = parse_frame(data, Schema((I, C)))
+    assert frame.columns[1].values == last_column
+    assert report.n_records == len(last_column)
+
+
+@pytest.mark.parametrize("data", [b"1\r\r\n2\r3\r\n", b"1\r\r", b"\r\n4\r\r\n"])
+def test_cr_separator_before_lf_is_dropped_with_its_empty_field(data,
+                                                                 monkeypatch):
+    # tokenize drops the CR first, so the record loses its last, empty field
+    schema = Schema((I, I), field_sep=b"\r")
+    _scan_and_tokenize_agree(data, schema, monkeypatch)
+
+
+def test_parse_matrix_reads_crlf_and_raises_on_ragged_records():
+    values = parse_matrix(b"1,2\r\n3,4\r\n", R)[0].values
+    assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(RaggedInput, match="record 1 has 2 fields, record 0 has 1"):
+        parse_matrix(b"1\r\n2,3\r\n", R)
+
+
+def test_tokenize_serves_only_quoted_and_nul_chunks(monkeypatch):
+    called = []
+    real = rowstream.frame.tokenize
+
+    def spy(chunk, *args, **kwargs):
+        called.append(chunk)
+        return real(chunk, *args, **kwargs)
+
+    monkeypatch.setattr(rowstream.frame, "tokenize", spy)
+    monkeypatch.setattr(rowstream.matrix, "tokenize", spy)
+    dirty = b"1,a\r\n2\r\nx,b,c\n3,\r"
+    parse_frame(dirty, Schema((I, C)))
+    parse_frame(dirty, Schema((I, C), quote=b'"'))
+    parse_matrix(b"1,2\r\n3,x\r\n", I)
+    with pytest.raises(RaggedInput):
+        parse_matrix(b"1,2\r\n3\r\n", I)
+    assert called == []
+    parse_frame(b'"1",a\n', Schema((I, C), quote=b'"'))
+    parse_frame(b"1,a\x00\n", Schema((I, B)))
+    parse_matrix(b"1,\x00\n", I)
+    assert len(called) == 3
 
 
 @settings(max_examples=300, deadline=None)

@@ -73,21 +73,26 @@ def _check_against_reference(rows, crlf, final_newline, quote, limit, types,
 
 def test_parse_frame_matches_naive_reference(monkeypatch):
     """Both splitters must serve some of the examples: the offset scan takes
-    the uniform LF chunks that hold no quote byte, whether or not the schema
-    sets one, and tokenize takes the rest."""
+    every chunk that holds no quote byte or NUL, whether or not the schema
+    sets a quote byte, CRLF and ragged chunks included, and tokenize takes
+    the rest."""
     served = Counter()
     scan = rowstream.frame._field_offsets
 
-    def counted(*args):
-        offsets = scan(*args)
+    def counted(chunk, ncol, sep):
+        offsets = scan(chunk, ncol, sep)
         splitter = "offsets" if offsets is not None else "tokenize"
         served[splitter, _drawn["quote"] is not None] += 1
+        if offsets is not None:
+            served["crlf"] += b"\r\n" in chunk
+            served["ragged"] += bool((offsets[2] != ncol).any())
         return offsets
 
     monkeypatch.setattr(rowstream.frame, "_field_offsets", counted)
     _check_against_reference()
     assert (served["offsets", False] and served["offsets", True]
-            and served["tokenize", False]), served
+            and served["tokenize", False] and served["crlf"]
+            and served["ragged"]), served
 
 
 _LAYOUT_USERS = {
