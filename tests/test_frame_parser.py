@@ -450,7 +450,7 @@ def test_gathered_column_keeps_its_nulls_when_the_cast_fails(ctype):
 
 def _scan_and_tokenize_agree(data, schema, monkeypatch):
     """Parse ``data`` on the offset scan and again on tokenize, and check
-    both against the reference; returns the scan's report."""
+    both against the reference; returns the scan's frame and report."""
     assert _field_offsets(data, len(schema.types), schema.field_sep) is not None
     frame, report = parse_frame(data, schema)
     ref_frame, ref_report = naive_parse_frame(data, schema)
@@ -458,13 +458,13 @@ def _scan_and_tokenize_agree(data, schema, monkeypatch):
     monkeypatch.setattr(rowstream.frame, "_field_offsets", lambda *a: None)
     tok_frame, tok_report = parse_frame(data, schema)
     assert frames_equal(frame, tok_frame) and report == tok_report
-    return report
+    return frame, report
 
 
 @pytest.mark.parametrize("odd,short,long_", [(b"4", 1, 0), (b"4,d,9", 0, 1)])
 def test_one_ragged_record_is_served_by_the_scan(odd, short, long_, monkeypatch):
     data = b"1,a\n2,b\n" + odd + b"\n5,e\n"
-    report = _scan_and_tokenize_agree(data, Schema((I, C)), monkeypatch)
+    _, report = _scan_and_tokenize_agree(data, Schema((I, C)), monkeypatch)
     assert (report.short_rows, report.long_rows) == (short, long_)
 
 
@@ -478,8 +478,7 @@ def test_one_ragged_record_is_served_by_the_scan(odd, short, long_, monkeypatch)
     (b"\r", [None]),
 ])
 def test_crlf_records_are_served_by_the_scan(data, last_column, monkeypatch):
-    report = _scan_and_tokenize_agree(data, Schema((I, C)), monkeypatch)
-    frame, _ = parse_frame(data, Schema((I, C)))
+    frame, report = _scan_and_tokenize_agree(data, Schema((I, C)), monkeypatch)
     assert frame.columns[1].values == last_column
     assert report.n_records == len(last_column)
 
