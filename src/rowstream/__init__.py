@@ -9,7 +9,7 @@ splits.  The ``rowstream`` console script fronts the common paths.
 """
 
 from ._coerce import ColumnType
-from .apply import ApplyConfig, chunk_apply
+from .apply import ApplyConfig, chunk_apply, iter_apply
 from .chunker import Chunk, ChunkerConfig, iter_chunks
 from .errors import (
     DegenerateSystem,
@@ -113,6 +113,7 @@ __all__ = [
     "format_matrix",
     "frames_equal",
     "infer_schema",
+    "iter_apply",
     "iter_chunks",
     "merge",
     "normalize_hhmm_column",

@@ -11,7 +11,12 @@ processes, so it must be picklable: a module-level function or
 functools.partial.  A pool never has more workers than the input has windows
 when the input's size is known: bytes, or a regular file given by path or by
 an open handle.  Split mode needs such a file.  Every mode reads an open
-handle from where it stands.
+handle from where it stands.  The sequential and pipeline modes also take an
+iterable of chunk payloads, record-aligned ``bytes`` the caller has already
+cut, and apply the function to each as a chunk.
+
+``iter_apply`` yields the results lazily, in chunk order, each as soon as it
+and every result before it are done; ``chunk_apply`` is its list.
 
 An optional ``on_event`` callback observes the master's scheduling actions as
 ``(kind, seq)`` pairs, kinds ``read_start``/``read_end``/``dispatch``/
@@ -28,12 +33,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .chunker import Chunk, ChunkerConfig, _raw_chunks, iter_chunks
 from .errors import NotSeekable, WorkerFailure
 
-__all__ = ["MODES", "ApplyConfig", "chunk_apply"]
+__all__ = ["MODES", "ApplyConfig", "chunk_apply", "iter_apply"]
 
 MODES = ("sequential", "pipeline", "split")
 
@@ -86,7 +91,11 @@ def _no_event(kind, seq):
 
 
 def _event_chunks(source, cfg: ChunkerConfig, on_event):
-    chunks = iter_chunks(source, cfg)
+    if isinstance(source, (str, Path, bytes, bytearray)) or hasattr(
+            source, "read"):
+        chunks = iter_chunks(source, cfg)
+    else:
+        chunks = map(Chunk, source, count())
     for seq in count():
         on_event("read_start", seq)
         chunk = next(chunks, None)
@@ -96,8 +105,7 @@ def _event_chunks(source, cfg: ChunkerConfig, on_event):
         yield chunk
 
 
-def _run_sequential(chunks, f, on_event=_no_event) -> list:
-    results = []
+def _run_sequential(chunks, f, on_event=_no_event):
     for chunk in chunks:
         on_event("dispatch", chunk.seq)
         try:
@@ -105,34 +113,49 @@ def _run_sequential(chunks, f, on_event=_no_event) -> list:
         except Exception as exc:
             raise WorkerFailure(chunk.seq, exc) from exc
         on_event("collect", chunk.seq)
-        results.append(result)
-    return results
+        yield result
 
 
-def _run_pipeline(source, f, cfg: ApplyConfig, on_event) -> list:
+def _run_pipeline(source, f, cfg: ApplyConfig, on_event):
     """Read a chunk, collect the oldest computation if ``parallel`` are in
-    flight, then dispatch; so the next read overlaps the running work."""
-    results = []
+    flight, then dispatch before yielding what was collected; so the next
+    read, and the caller's use of a result, overlap the running work."""
     inflight = deque()
-    with ProcessPoolExecutor(_pool_size(_extent(source)[2], cfg)) as pool:
+    pool = ProcessPoolExecutor(_pool_size(_extent(source)[2], cfg))
 
-        def collect():
-            seq, future = inflight.popleft()
+    def collect():
+        seq, future = inflight.popleft()
+        try:
+            result = future.result()
+        except Exception as exc:
+            raise WorkerFailure(seq, exc) from exc
+        on_event("collect", seq)
+        return result
+
+    chunks = _event_chunks(source, cfg.chunker, on_event)
+    try:
+        while True:
             try:
-                results.append(future.result())
-            except Exception as exc:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise WorkerFailure(seq, exc) from exc
-            on_event("collect", seq)
-
-        for chunk in _event_chunks(source, cfg.chunker, on_event):
-            if len(inflight) == cfg.parallel:
-                collect()
+                chunk = next(chunks, None)
+            except Exception:
+                # the chunks read before a failed read come first
+                while inflight:
+                    yield collect()
+                raise
+            if chunk is None:
+                break
+            full = len(inflight) == cfg.parallel
+            if full:
+                result = collect()
             inflight.append((chunk.seq, pool.submit(f, chunk.data)))
             on_event("dispatch", chunk.seq)
+            if full:
+                yield result
         while inflight:
-            collect()
-    return results
+            yield collect()
+    finally:
+        # a failure, or a caller that stops early, leaves work in flight
+        pool.shutdown(cancel_futures=True)
 
 
 def _split_worker(path, origin, win_lo, win_hi, cfg: ChunkerConfig, f):
@@ -140,22 +163,22 @@ def _split_worker(path, origin, win_lo, win_hi, cfg: ChunkerConfig, f):
     with open(path, "rb") as stream:
         stream.seek(origin)
         raw = _raw_chunks(stream, cfg, win_lo * target, win_hi * target)
-        return _run_sequential(map(Chunk, raw, count()), f)
+        return list(_run_sequential(map(Chunk, raw, count()), f))
 
 
-def _run_split(source, f, cfg: ApplyConfig) -> list:
+def _run_split(source, f, cfg: ApplyConfig):
     path, origin, size = _extent(source)
     if path is None:
         raise NotSeekable(
             f"split mode reads byte ranges of a regular file; got {source!r}"
         )
     if size <= 0:
-        return []
+        return
     n_windows = -(-size // cfg.chunker.target_bytes)
     n_workers = _pool_size(size, cfg)
     per, extra = divmod(n_windows, n_workers)
     edges = [i * per + min(i, extra) for i in range(n_workers + 1)]
-    results = []
+    done = 0
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         futures = [
             pool.submit(_split_worker, path, origin, lo, hi, cfg.chunker, f)
@@ -163,13 +186,36 @@ def _run_split(source, f, cfg: ApplyConfig) -> list:
         ]
         for future in futures:
             try:
-                results.extend(future.result())
+                results = future.result()
             except WorkerFailure as exc:
                 # a worker numbers its chunks from 0, after all of the
                 # earlier workers' chunks
-                seq = len(results) + exc.seq
-                raise WorkerFailure(seq, exc.cause) from exc.cause
-    return results
+                raise WorkerFailure(done + exc.seq, exc.cause) from exc.cause
+            done += len(results)
+            yield from results
+
+
+def iter_apply(
+    source,
+    f: Callable,
+    cfg: Optional[ApplyConfig] = None,
+    on_event=None,
+) -> Iterator:
+    """Apply ``f`` to every chunk of ``source``; yield results in chunk order.
+
+    Each record is processed exactly once in every mode.  A failure inside
+    ``f`` raises WorkerFailure carrying the failing chunk's seq once every
+    result before it has been yielded.  The pooled modes shut their pool
+    down when the iterator ends, fails or is closed.
+    """
+    cfg = cfg or ApplyConfig()
+    on_event = on_event or _no_event
+    if cfg.mode == "sequential":
+        chunks = _event_chunks(source, cfg.chunker, on_event)
+        return _run_sequential(chunks, f, on_event)
+    if cfg.mode == "pipeline":
+        return _run_pipeline(source, f, cfg, on_event)
+    return _run_split(source, f, cfg)
 
 
 def chunk_apply(
@@ -180,15 +226,8 @@ def chunk_apply(
 ) -> list:
     """Apply ``f`` to every chunk of ``source``; results in chunk order.
 
-    Each record is processed exactly once in every mode.  A failure inside
-    ``f`` aborts the run as WorkerFailure carrying the failing chunk's seq;
-    no partial result list is returned.
+    The list of :func:`iter_apply`.  A failure inside ``f`` aborts the run
+    as WorkerFailure carrying the failing chunk's seq; no partial result
+    list is returned.
     """
-    cfg = cfg or ApplyConfig()
-    on_event = on_event or _no_event
-    if cfg.mode == "sequential":
-        chunks = _event_chunks(source, cfg.chunker, on_event)
-        return _run_sequential(chunks, f, on_event)
-    if cfg.mode == "pipeline":
-        return _run_pipeline(source, f, cfg, on_event)
-    return _run_split(source, f, cfg)
+    return list(iter_apply(source, f, cfg, on_event))

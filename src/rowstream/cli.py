@@ -6,10 +6,17 @@ compose in pipelines.  Exit codes: 0 success, 1 input or format error,
 2 verification failure (--strict violations).  The environment variable
 CHUNK_TARGET_BYTES overrides the default chunk size.
 
+``parse`` runs each chunk's parse and re-serialization through
+``apply.iter_apply``: pipelined over the CPUs the process may run on, but
+no more workers than the input has chunk windows, and in-process, with no
+pool, when that leaves one worker or the input's size is unknown (a FIFO).
+The master writes the results in chunk order, so output never depends on
+the worker count, and a failing chunk raises its own error.
+``parse --out PATH`` replaces PATH only when the parse succeeds.
+
 ``mm`` converts only the response and term columns: every other column is
 skipped once the schema is resolved, so its cells cost only tokenizing and,
-as before, never affect the checkpoint.  ``parse --out PATH`` replaces PATH
-only when the parse succeeds.
+as before, never affect the checkpoint.  It parses its chunks in-process.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import argparse
 import os
 import sys
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import replace
 from functools import partial
 from itertools import chain
@@ -27,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from ._coerce import ColumnType
-from .apply import ApplyConfig, chunk_apply
+from .apply import ApplyConfig, _extent, _pool_size, chunk_apply, iter_apply
 from .chunker import ChunkerConfig, iter_chunks
 from .errors import (
     DimensionMismatch,
@@ -35,6 +42,7 @@ from .errors import (
     RowstreamError,
     SchemaError,
     StrictViolation,
+    WorkerFailure,
 )
 from .frame import (
     _SAMPLE_RECORDS,
@@ -153,16 +161,17 @@ def _resolve_schema(data: bytes, schema_arg, sep, header, columns) -> Schema:
     )
 
 
-def _parse_stream(path, schema_arg, sep, header, skip, strict, cfg,
-                  columns=None):
-    """Stream a file as parsed frames: yields (schema, frame, report).
+def _resolve_stream(path, schema_arg, sep, header, skip, cfg, columns=None):
+    """The schema of a file and its data records: ``(schema, chunks)``, or
+    ``(None, ())`` when no record follows ``skip``.
 
     After ``skip`` leading records, the leading chunks are held until they
     contain the header and ``_SAMPLE_RECORDS`` records for ``infer``, or one
     record for a given schema, or the input ends.  Their join resolves the
     schema (see :func:`_resolve_schema`), so the schema does not depend on
-    the chunk size.  The header record is dropped, and every chunk, held or
-    not, is then parsed on its own with that schema.
+    the chunk size.  ``chunks`` yields the held chunks, the header record
+    dropped, and then the rest of the file, each record-aligned, so each
+    parses on its own with that schema.
     """
     need = _SAMPLE_RECORDS + header if schema_arg == "infer" else 1
     held, n_held = [], 0
@@ -178,13 +187,11 @@ def _parse_stream(path, schema_arg, sep, header, skip, strict, cfg,
             if n_held >= need:
                 break
     if not held:
-        return
+        return None, ()
     schema = _resolve_schema(b"".join(held), schema_arg, sep, header, columns)
     if header:
         held[0] = _skip_records(held[0], 1)[0]
-    for data in chain(held, (chunk.data for chunk in chunks)):
-        frame, report = parse_frame(data, schema, strict=strict)
-        yield schema, frame, report
+    return schema, chain(held, (chunk.data for chunk in chunks))
 
 
 @contextmanager
@@ -215,24 +222,71 @@ def _output(path: str):
         raise
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _parse_config(path, cfg: ChunkerConfig) -> ApplyConfig:
+    """``parse`` pipelines its chunks over the usable CPUs, but no more than
+    the input has windows, and runs in-process, with no pool, at one worker
+    or on an input of unknown size such as a FIFO."""
+    size = _extent(path)[2]
+    workers = 1 if size is None else _pool_size(
+        size, ApplyConfig(parallel=_usable_cpus(), chunker=cfg))
+    mode = "pipeline" if workers > 1 else "sequential"
+    return ApplyConfig(mode=mode, parallel=workers, chunker=cfg)
+
+
+def _parse_chunk(data: bytes, schema: Schema, strict: bool):
+    frame, report = parse_frame(data, schema, strict=strict)
+    return format_frame(frame, schema.field_sep), report
+
+
+def _header(schema: Schema) -> bytes:
+    return format_frame(parse_frame(b"", schema)[0], schema.field_sep,
+                        include_header=True)
+
+
+def _write_parsed(sink, schema, chunks, header, strict, cfg) -> ParseReport:
+    """Parse and re-serialize ``chunks`` into ``sink``, the header (if any)
+    first, in chunk order; return their merged report.  A chunk that fails
+    raises its own error."""
+    total = ParseReport()
+    results = iter_apply(
+        chunks, partial(_parse_chunk, schema=schema, strict=strict), cfg)
+    with closing(results):
+        try:
+            for seq, (out, report) in enumerate(results):
+                if seq == 0 and header:
+                    sink.write(_header(schema))
+                sink.write(out)
+                total = total.merge(report)
+        except WorkerFailure as exc:
+            if (exc.seq == 0 and header
+                    and not isinstance(exc.cause, StrictViolation)):
+                # the first chunk's header is guarded after its strict check
+                # and before its rows
+                _header(schema)
+            raise exc.cause from None
+    return total
+
+
 def cmd_parse(args) -> int:
     cfg = _default_chunker()
     sep = _sep_bytes(args.sep)
     n_bytes = os.path.getsize(args.input)
     started = time.perf_counter()
     total = ParseReport()
-    schema = None
-    first = True
     with _output(args.out) as sink:
-        for schema, frame, report in _parse_stream(
-            args.input, args.schema, sep, args.header, args.skip,
-            args.strict, cfg,
-        ):
-            sink.write(
-                format_frame(frame, sep, include_header=args.header and first)
-            )
-            first = False
-            total = total.merge(report)
+        schema, chunks = _resolve_stream(
+            args.input, args.schema, sep, args.header, args.skip, cfg)
+        if schema is not None:
+            total = _write_parsed(sink, schema, chunks, args.header,
+                                  args.strict, _parse_config(args.input, cfg))
         sink.flush()
     elapsed = time.perf_counter() - started
     err = sys.stderr
@@ -309,10 +363,10 @@ def cmd_mm(args) -> int:
         sink = None
         for path in args.inputs:
             n_input = n_rows = n_null = n_unknown = 0
-            for _, frame, _report in _parse_stream(
-                path, args.schema, sep, args.header, args.skip, False, cfg,
-                used,
-            ):
+            schema, chunks = _resolve_stream(
+                path, args.schema, sep, args.header, args.skip, cfg, used)
+            for data in chunks:
+                frame, _ = parse_frame(data, schema)
                 for column in hhmm_cols:
                     frame = normalize_hhmm_column(frame, column)
                 matrix, xreport = expand(frame, spec, lenient_levels=True)

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import multiprocessing
 import pickle
 import threading
 import time
@@ -17,6 +18,8 @@ from rowstream import (
     RecordTooLarge,
     WorkerFailure,
     chunk_apply,
+    iter_apply,
+    iter_chunks,
     parse_matrix,
 )
 
@@ -354,3 +357,50 @@ def test_pool_never_outnumbers_windows(tmp_path, monkeypatch, mode):
         with pytest.raises(RecordTooLarge):
             chunk_apply("/dev/zero", count_records, cfg(mode, 2))
         assert RecordingPool.sizes == [1, 1, 3, 2, 1, 2]
+
+
+@pytest.mark.parametrize("mode", ["sequential", "pipeline"])
+def test_iterable_of_payloads_is_a_source(tmp_path, mode):
+    path = tmp_path / "p.txt"
+    path.write_bytes(b"".join(b"%d\n" % i for i in range(30)))
+    want = chunk_apply(path, digest, cfg("sequential", 1, 16))
+    payloads = [c.data for c in iter_chunks(path, ChunkerConfig(16))]
+    assert chunk_apply(payloads, digest, cfg(mode, 2)) == want
+    assert chunk_apply(iter(payloads), digest, cfg(mode, 2)) == want
+    with pytest.raises(NotSeekable):
+        chunk_apply(payloads, digest, cfg("split", 2))
+
+
+def test_iter_apply_yields_before_the_source_ends():
+    pulled = []
+
+    def payloads():
+        for i in range(20):
+            pulled.append(i)
+            yield b"%d\n" % i
+
+    results = iter_apply(payloads(), count_records, cfg("pipeline", 2))
+    assert next(results) == 1
+    # chunk 0 is yielded once chunk 2 is read and dispatched
+    assert pulled == [0, 1, 2]
+    results.close()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("mode,parallel", [("sequential", 1), ("pipeline", 2),
+                                           ("pipeline", 8)])
+def test_failed_chunk_before_a_failed_read_comes_first(tmp_path, mode,
+                                                       parallel):
+    # chunk 0 fails in f, and the read of chunk 1 fails: its record is over
+    # the chunker's cap
+    path = tmp_path / "late.txt"
+    path.write_bytes(b"BOOM\n" + b"x" * 100 + b"\n")
+    with pytest.raises(WorkerFailure) as info:
+        chunk_apply(path, boom_on_marker, cfg(mode, parallel, 4))
+    assert info.value.seq == 0
+    path.write_bytes(b"abc\n" + b"x" * 100 + b"\n")
+    results = iter_apply(path, boom_on_marker, cfg(mode, parallel, 4))
+    assert next(results) == 4
+    with pytest.raises(RecordTooLarge):
+        next(results)
+    assert multiprocessing.active_children() == []

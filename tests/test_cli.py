@@ -1,9 +1,11 @@
 import contextlib
 import io
+import multiprocessing
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_chunk_apply import RecordingPool
 
+import rowstream.apply
+import rowstream.cli
 from rowstream import read_sidecar, write_sidecar
 from rowstream.cli import main
 from rowstream.frame import _SAMPLE_RECORDS
@@ -51,31 +56,46 @@ def test_parse_to_file_and_reparse(tmp_path, capsysbinary):
     assert again.read_bytes() == first
 
 
-def test_failed_parse_leaves_out_path_as_it_was(tmp_path, capsysbinary):
-    src = tmp_path / "cr.csv"
-    src.write_bytes(b"a,b\nx,y\r\r\n")  # one CR stays in the last cell
-    dst = tmp_path / "o.csv"
-    args = ["parse", str(src), "--header", "--schema", "c,c", "--out", str(dst)]
-    code, _, err = run(args, capsysbinary)
-    assert code == 1 and "needs quoting" in err
-    assert not dst.exists()
-    dst.write_bytes(b"keep\n")
-    code, _, _ = run(args, capsysbinary)
-    assert code == 1
-    assert dst.read_bytes() == b"keep\n"
-    src.write_bytes(b"a,b\nx,y\n")
-    code, _, _ = run(args, capsysbinary)
-    assert code == 0
-    assert dst.read_bytes() == b"a,b\nx,y\n"
-    # a symlink is written through, not replaced
-    link = tmp_path / "link.csv"
-    link.symlink_to(dst)
-    src.write_bytes(b"p,q\n")
-    code, _, _ = run(args[:-1] + [str(link)], capsysbinary)
-    assert code == 0
-    assert link.is_symlink() and dst.read_bytes() == b"p,q\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "cr.csv", "link.csv", "o.csv"]
+def test_failed_parse_leaves_out_path_as_it_was(tmp_path, capsysbinary,
+                                                monkeypatch):
+    # at a 4-byte target the failing record is a chunk of its own, which two
+    # usable CPUs send to a worker process
+    monkeypatch.setenv("CHUNK_TARGET_BYTES", "4")
+    monkeypatch.setattr(rowstream.apply, "ProcessPoolExecutor", RecordingPool)
+    for workers in (1, 2):
+        monkeypatch.setattr(rowstream.cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        tmp = tmp_path / str(workers)
+        tmp.mkdir()
+        src = tmp / "cr.csv"
+        src.write_bytes(b"a,b\nx,y\r\r\n")  # one CR stays in the last cell
+        dst = tmp / "o.csv"
+        args = ["parse", str(src), "--header", "--schema", "c,c",
+                "--out", str(dst)]
+        code, _, err = run(args, capsysbinary)
+        assert code == 1
+        assert err == ("error: cell b'y\\r' needs quoting but no quote byte "
+                       "is configured\n")
+        assert not dst.exists()
+        dst.write_bytes(b"keep\n")
+        code, _, _ = run(args, capsysbinary)
+        assert code == 1
+        assert dst.read_bytes() == b"keep\n"
+        src.write_bytes(b"a,b\nx,y\n")
+        code, _, _ = run(args, capsysbinary)
+        assert code == 0
+        assert dst.read_bytes() == b"a,b\nx,y\n"
+        # a symlink is written through, not replaced
+        link = tmp / "link.csv"
+        link.symlink_to(dst)
+        src.write_bytes(b"p,q\n")
+        code, _, _ = run(args[:-1] + [str(link)], capsysbinary)
+        assert code == 0
+        assert link.is_symlink() and dst.read_bytes() == b"p,q\n"
+        assert sorted(p.name for p in tmp.iterdir()) == [
+            "cr.csv", "link.csv", "o.csv"]
+        assert RecordingPool.sizes == ([2] * 3 if workers == 2 else [])
+        assert multiprocessing.active_children() == []
 
 
 def test_parse_infer_reports_types(tmp_path, capsysbinary):
@@ -109,13 +129,14 @@ def test_parse_skip_and_sep(tmp_path, capsysbinary):
     assert out == b"1\t2\n"
 
 
-def _parse_at(argv, target):
+def _parse_at(argv, target, workers=1):
     """Run ``parse ... --out``: (exit code, output bytes or None, stderr
     without the throughput line), with CHUNK_TARGET_BYTES set to ``target``
-    or unset for None."""
+    or unset for None, on ``workers`` usable CPUs."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.dict(os.environ), contextlib.redirect_stderr(err):
+            mock.patch.dict(os.environ), contextlib.redirect_stderr(err), \
+            mock.patch.object(rowstream.cli, "_usable_cpus", lambda: workers):
         os.environ.pop("CHUNK_TARGET_BYTES", None)
         if target is not None:
             os.environ["CHUNK_TARGET_BYTES"] = str(target)
@@ -129,7 +150,10 @@ def _parse_at(argv, target):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    rows=st.lists(st.lists(st.sampled_from(["1", "22", "x", "NA", ""]),
+    # a quote byte is data to parse; a CR cell last in a CRLF record is
+    # a cell parse refuses to write
+    rows=st.lists(st.lists(st.sampled_from(["1", "22", "x", "NA", "", 'q"',
+                                            "\r"]),
                            min_size=1, max_size=2), max_size=8),
     crlf=st.booleans(),
     final_newline=st.booleans(),
@@ -137,12 +161,18 @@ def _parse_at(argv, target):
     header=st.booleans(),
     infer=st.booleans(),
     target=st.sampled_from([None, *range(1, 17)]),
+    workers=st.sampled_from([1, 2, 3]),
 )
 @example(rows=[["a", "b"], ["1", "x"], ["22", "y"], ["3", "z"]], crlf=True,
-         final_newline=False, k=2, header=True, infer=True, target=3)
+         final_newline=False, k=2, header=True, infer=True, target=3,
+         workers=1)
+@example(rows=[["a", "b"], ["1", "x"], ["22", "y"], ["3", "z"]], crlf=True,
+         final_newline=False, k=2, header=True, infer=True, target=3,
+         workers=3)
 def test_parse_skip_equals_parse_of_the_rest(rows, crlf, final_newline, k,
-                                             header, infer, target):
-    # --skip k at any chunk size acts as if the first k records were absent
+                                             header, infer, target, workers):
+    # --skip k at any chunk size and worker count acts as if the first k
+    # records were absent
     eol = b"\r\n" if crlf else b"\n"
     records = [",".join(r).encode() for r in rows]
 
@@ -156,7 +186,7 @@ def test_parse_skip_equals_parse_of_the_rest(rows, crlf, final_newline, k,
         whole.write_bytes(text(records))
         rest.write_bytes(text(records[k:]))
         got = _parse_at(["parse", str(whole), "--skip", str(k)] + flags,
-                        target)
+                        target, workers)
         want = _parse_at(["parse", str(rest)] + flags, None)
     assert got == want
 
@@ -168,27 +198,71 @@ def test_parse_infer_does_not_depend_on_chunk_size(tmp_path):
         # the sample is the first _SAMPLE_RECORDS records after the header
         (b"h\n" + b"1\n" * _SAMPLE_RECORDS + b"x\n", True, "i"),
         (b"h\n" + b"1\n" * (_SAMPLE_RECORDS - 1) + b"x\n", True, "c"),
+        (b"a,b\r\n1,2.5\r\n3,NA\r\n4,x\r\n", True, "i,c"),
+        (b"q,n\n'x\",1\nb\"c,2\n\"\",x\n", True, "c,c"),
     ]
     for data, header, letters in cases:
         src = tmp_path / "s.csv"
         src.write_bytes(data)
         argv = ["parse", str(src), "--schema", "infer"]
         argv += ["--header"] if header else []
-        results = [_parse_at(argv, target) for target in (2, 8, None)]
+        # nor on the worker count
+        results = [_parse_at(argv, target, workers)
+                   for target in (2, 8, None) for workers in (1, 3)]
         assert results[0][0] == 0, results[0]
         assert f"inferred schema: {letters}" in results[0][2]
-        assert results[1:] == results[:1] * 2
+        assert results[1:] == results[:1] * 5
 
 
-def test_parse_strict_exit_two(tmp_path, capsysbinary):
+def test_parse_strict_exit_two(tmp_path, capsysbinary, monkeypatch):
+    monkeypatch.setenv("CHUNK_TARGET_BYTES", "4")
     src = tmp_path / "bad.csv"
-    src.write_bytes(b"notanint\n")
-    code, _, err = run(
-        ["parse", str(src), "--schema", "i", "--strict", "--out", "-"],
-        capsysbinary,
-    )
-    assert code == 2
-    assert "error:" in err
+    src.write_bytes(b"1\n2\nnotanint\n3\n")
+    dst = tmp_path / "o.csv"
+    dst.write_bytes(b"keep\n")
+    for workers in (1, 2):
+        monkeypatch.setattr(rowstream.cli, "_usable_cpus", lambda: workers)
+        code, _, err = run(
+            ["parse", str(src), "--schema", "i", "--strict", "--out", str(dst)],
+            capsysbinary,
+        )
+        assert code == 2
+        assert err == "error: 1 coercion failures\n"
+        assert dst.read_bytes() == b"keep\n"
+        assert multiprocessing.active_children() == []
+
+
+def test_parse_starts_no_pool_for_one_window_one_cpu_or_a_fifo(
+        tmp_path, capsysbinary, monkeypatch):
+    # a pool costs start-up time that one worker cannot win back
+    monkeypatch.setattr(rowstream.apply, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setenv("CHUNK_TARGET_BYTES", "8")
+    one, three = b"n,s\n1,a\n", b"n,s\n1,a\n2,b\n3,c\n4,d\n"
+    src, fifo = tmp_path / "in.csv", tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+
+    def parse(path, data, cpus):
+        monkeypatch.setattr(rowstream.cli, "_usable_cpus", lambda: cpus)
+        if path == fifo:
+            writer = threading.Thread(target=fifo.write_bytes, args=(data,),
+                                      daemon=True)
+            writer.start()
+        else:
+            path.write_bytes(data)
+        got = run(["parse", str(path), "--header", "--schema", "i,c"],
+                  capsysbinary)
+        assert got[:2] == (0, data)
+        if path == fifo:
+            writer.join(10)
+            assert not writer.is_alive()
+
+    parse(src, one, 4)  # one window
+    parse(src, three, 1)  # one usable CPU
+    parse(fifo, three, 4)  # size unknown
+    assert RecordingPool.sizes == []
+    parse(src, three, 4)  # three windows
+    assert RecordingPool.sizes == [3]
 
 
 def test_parse_missing_file_exit_one(capsysbinary):
