@@ -379,10 +379,13 @@ def test_iter_apply_yields_before_the_source_ends():
             pulled.append(i)
             yield b"%d\n" % i
 
-    results = iter_apply(payloads(), count_records, cfg("pipeline", 2))
+    events = []
+    results = iter_apply(payloads(), count_records, cfg("pipeline", 2),
+                         on_event=lambda kind, seq: events.append((kind, seq)))
     assert next(results) == 1
     # chunk 0 is yielded once chunk 2 is read and dispatched
     assert pulled == [0, 1, 2]
+    assert events[-2:] == [("collect", 0), ("dispatch", 2)]
     results.close()
     assert multiprocessing.active_children() == []
 

@@ -232,6 +232,23 @@ def test_parse_strict_exit_two(tmp_path, capsysbinary, monkeypatch):
         assert multiprocessing.active_children() == []
 
 
+def test_parse_first_chunk_errors_keep_their_order(tmp_path, capsysbinary,
+                                                   monkeypatch):
+    # in the first chunk, a strict violation is found before a header cell
+    # that needs quoting, and that header cell before such a row cell
+    monkeypatch.setenv("CHUNK_TARGET_BYTES", "8")  # one chunk, two windows
+    src = tmp_path / "h.csv"
+    src.write_bytes(b"NA,b\nx,y\r\r\n")
+    argv = ["parse", str(src), "--header", "--schema"]
+    for workers in (1, 2):
+        monkeypatch.setattr(rowstream.cli, "_usable_cpus", lambda: workers)
+        assert run(argv + ["c,c"], capsysbinary) == (
+            1, b"", "error: cell b'NA' needs quoting but no quote byte is "
+                    "configured\n")
+        assert run(argv + ["i,c", "--strict"], capsysbinary) == (
+            2, b"", "error: 1 coercion failures\n")
+
+
 def test_parse_starts_no_pool_for_one_window_one_cpu_or_a_fifo(
         tmp_path, capsysbinary, monkeypatch):
     # a pool costs start-up time that one worker cannot win back
