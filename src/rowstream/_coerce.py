@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError, SeparatorCollision
+from .errors import SeparatorCollision
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -298,23 +298,6 @@ _TYPES = {
     ColumnType.TIMESTAMP: _Type(_timestamp_scalar, _spell_real, np.float64, np.nan,
                                 b"nan"),
 }
-
-
-def parse_field_ex(field: bytes, ctype: ColumnType, quoted: bool = False):
-    """Coerce one field; returns ``(value, failed)``.
-
-    Nulls (empty field or ``NA``, unless the field was quoted) come back as
-    ``(None, False)``; malformed fields as ``(None, True)``.  Only the latter
-    counts as a coercion failure.
-    """
-    if ctype is ColumnType.SKIP:
-        raise SchemaError("skip columns have no values")
-    if not quoted and is_null_token(field):
-        return None, False
-    try:
-        return _TYPES[ctype].read(field), False
-    except ValueError:
-        return None, True
 
 
 def _bytes_array(fields) -> np.ndarray:

@@ -8,7 +8,10 @@ the three modes return element-wise identical result lists, in chunk order.
 
 The function receives the chunk's bytes.  The pooled modes run it in worker
 processes, so it must be picklable: a module-level function or
-functools.partial.  A pool never has more workers than the input has windows
+functools.partial.  ``concurrent.futures`` is imported when the first pool
+starts, not with this module, so a run that starts none does not pay for
+it; ``ProcessPoolExecutor`` is still looked up on this module, where a test
+may replace it.  A pool never has more workers than the input has windows
 when the input's size is known: bytes, or a regular file given by path or by
 an open handle.  Split mode needs such a file.  Every mode reads an open
 handle from where it stands.  The sequential and pipeline modes also take an
@@ -28,8 +31,8 @@ their own reading, emits none.
 from __future__ import annotations
 
 import os
+import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
@@ -60,6 +63,21 @@ class ApplyConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.parallel < 1:
             raise ValueError("parallel must be >= 1")
+
+
+def __getattr__(name):
+    # concurrent.futures pulls in multiprocessing, socket and selectors:
+    # about 2 MB of RSS and 20-40 ms of start-up
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+def _start_pool(workers: int):
+    # through the module, so that a patched ProcessPoolExecutor is used
+    return sys.modules[__name__].ProcessPoolExecutor(workers)
 
 
 def _extent(source):
@@ -121,7 +139,7 @@ def _run_pipeline(source, f, cfg: ApplyConfig, on_event):
     flight, then dispatch before yielding what was collected; so the next
     read, and the caller's use of a result, overlap the running work."""
     inflight = deque()
-    pool = ProcessPoolExecutor(_pool_size(_extent(source)[2], cfg))
+    pool = _start_pool(_pool_size(_extent(source)[2], cfg))
 
     def collect():
         seq, future = inflight.popleft()
@@ -179,7 +197,7 @@ def _run_split(source, f, cfg: ApplyConfig):
     per, extra = divmod(n_windows, n_workers)
     edges = [i * per + min(i, extra) for i in range(n_workers + 1)]
     done = 0
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    with _start_pool(n_workers) as pool:
         futures = [
             pool.submit(_split_worker, path, origin, lo, hi, cfg.chunker, f)
             for lo, hi in zip(edges, edges[1:])

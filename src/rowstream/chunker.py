@@ -15,6 +15,11 @@ A record longer than ``8 * target_bytes`` raises RecordTooLarge.  Every
 record that ends before its window's last byte is shorter than one window,
 so only the record that crosses that byte (or the unterminated tail) can
 exceed the cap, and it is the only one checked, when its chunk is cut.
+
+Reads stop at the window: the rest of a window is read in one call, and the
+record that crosses its last byte is read on ``_READ_SIZE`` bytes at a time
+(at most ``target_bytes``).  So the chunker holds about two chunks while it
+cuts one, whatever the target, and never copies a growing buffer.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from typing import BinaryIO, Iterator, Union
 
 from .errors import RecordTooLarge
 
-_READ_SIZE = 1 << 20
+# bytes per read past a window's last byte, while seeking the LF that ends it
+_READ_SIZE = 1 << 13
 
 Source = Union[str, Path, BinaryIO, bytes]
 
@@ -39,10 +45,13 @@ class ChunkerConfig:
 
     target_bytes is a soft chunk size: chunks run past it only as far as the
     next record separator.  A record longer than eight targets (separator
-    excluded) is taken as malformed input and raises RecordTooLarge.
+    excluded) is taken as malformed input and raises RecordTooLarge.  The
+    default, 1 MiB, was the fastest of 256 KiB, 1 MiB, 4 MiB and 32 MiB
+    for ``mm``, ``parse`` and ``fit`` on 12-30 MB inputs, and a process's
+    peak memory grows with it.
     """
 
-    target_bytes: int = 32 * 1024 * 1024
+    target_bytes: int = 1024 * 1024
 
     def __post_init__(self):
         if self.target_bytes < 1:
@@ -82,36 +91,52 @@ def _raw_chunks(
     """
     target = cfg.target_bytes
     cap = 8 * target
-    base = start  # position of buf[0]
+    step = min(_READ_SIZE, target)
+    base = start  # position of the chunk's first byte
     if start > 0:
         base = start - 1
         stream.seek(base, io.SEEK_CUR)
-    buf = b""
-    eof = False
+    rest = b""  # bytes read past the last cut
     while stop is None or base < stop:
         first = (base // target + 1) * target - 1 - base  # window's last byte
-        search_from = first
-        while True:
-            cut = buf.find(_SEP, search_from)
-            if cut != -1 or eof or len(buf) - first > cap:
-                break
-            search_from = max(len(buf), first)
-            data = stream.read(_READ_SIZE)
-            eof = not data
-            buf += data
+        chunk, rest, cut = _read_to_cut(stream, rest, first, step, cap)
         # records ending before ``first`` are shorter than a window; only the
         # one crossing it can be over the cap
-        record = buf.rfind(_SEP, 0, first) + 1
-        end = len(buf) if cut == -1 else cut
+        record = chunk.rfind(_SEP, 0, first) + 1
+        end = len(chunk) if cut == -1 else cut
         if end - record > cap:
             raise RecordTooLarge(f"record near byte {base + record} exceeds "
                                  f"hard cap of {cap} bytes")
-        if buf and base != start - 1:
-            yield buf[: end + 1]
+        if chunk and base != start - 1:
+            yield chunk
         if cut == -1:
             return
         base += cut + 1
-        buf = buf[cut + 1 :]
+
+
+def _read_to_cut(stream: BinaryIO, rest: bytes, first: int, step: int,
+                 cap: int):
+    """``(chunk, rest, cut)``: the bytes from ``rest`` on through the first
+    separator at or past offset ``first``, the bytes read past it, and its
+    offset.  The rest of the window is read in one call, then ``step``
+    bytes at a time.  ``cut`` is -1 when the stream ends, or runs over
+    ``cap`` bytes past ``first``, with no separator; ``chunk`` then holds
+    everything read."""
+    pieces, size = [rest], len(rest)
+    cut = rest.find(_SEP, first)
+    eof = False
+    while cut == -1 and not eof and size - first <= cap:
+        data = stream.read(first + 1 - size if size <= first else step)
+        eof = not data
+        hit = data.find(_SEP, max(first - size, 0))
+        if hit != -1:
+            cut = size + hit
+        pieces.append(data)
+        size += len(data)
+    past = size - (size if cut == -1 else cut + 1)
+    last = pieces.pop()
+    pieces.append(last[:len(last) - past])
+    return b"".join([p for p in pieces if p]), last[len(last) - past:], cut
 
 
 def iter_chunks(source: Source, cfg: ChunkerConfig | None = None) -> Iterator[Chunk]:

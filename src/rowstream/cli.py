@@ -161,9 +161,10 @@ def _resolve_schema(data: bytes, schema_arg, sep, header, columns) -> Schema:
     )
 
 
-def _resolve_stream(path, schema_arg, sep, header, skip, cfg, columns=None):
-    """The schema of a file and its data records: ``(schema, chunks)``, or
-    ``(None, ())`` when no record follows ``skip``.
+def _resolve_stream(chunks, schema_arg, sep, header, skip, columns=None):
+    """The schema of the input that ``chunks`` (from ``iter_chunks``) cut
+    and its data records: ``(schema, chunks)``, or ``(None, ())`` when no
+    record follows ``skip``.
 
     After ``skip`` leading records, the leading chunks are held until they
     contain the header and ``_SAMPLE_RECORDS`` records for ``infer``, or one
@@ -175,7 +176,6 @@ def _resolve_stream(path, schema_arg, sep, header, skip, cfg, columns=None):
     """
     need = _SAMPLE_RECORDS + header if schema_arg == "infer" else 1
     held, n_held = [], 0
-    chunks = iter_chunks(path, cfg)
     for chunk in chunks:
         data = chunk.data
         if skip:
@@ -275,15 +275,23 @@ def _write_parsed(sink, schema, chunks, header, strict, cfg) -> ParseReport:
     return total
 
 
+def _tally(chunks, sizes: list):
+    """Pass ``chunks`` on, appending each one's size to ``sizes``."""
+    for chunk in chunks:
+        sizes.append(len(chunk.data))
+        yield chunk
+
+
 def cmd_parse(args) -> int:
     cfg = _default_chunker()
     sep = _sep_bytes(args.sep)
-    n_bytes = os.path.getsize(args.input)
+    sizes = []  # of the chunks read: a FIFO has no size to ask for
     started = time.perf_counter()
     total = ParseReport()
     with _output(args.out) as sink:
         schema, chunks = _resolve_stream(
-            args.input, args.schema, sep, args.header, args.skip, cfg)
+            _tally(iter_chunks(args.input, cfg), sizes), args.schema, sep,
+            args.header, args.skip)
         if schema is not None:
             total = _write_parsed(sink, schema, chunks, args.header,
                                   args.strict, _parse_config(args.input, cfg))
@@ -298,7 +306,7 @@ def cmd_parse(args) -> int:
     print(f"coercion failures: {fails or 'none'}", file=err)
     print(f"short rows: {total.short_rows}, long rows: {total.long_rows}",
           file=err)
-    print(f"throughput: {n_bytes / 1e6 / max(elapsed, 1e-9):.1f} MB/s",
+    print(f"throughput: {sum(sizes) / 1e6 / max(elapsed, 1e-9):.1f} MB/s",
           file=err)
     return EXIT_OK
 
@@ -364,7 +372,8 @@ def cmd_mm(args) -> int:
         for path in args.inputs:
             n_input = n_rows = n_null = n_unknown = 0
             schema, chunks = _resolve_stream(
-                path, args.schema, sep, args.header, args.skip, cfg, used)
+                iter_chunks(path, cfg), args.schema, sep, args.header,
+                args.skip, used)
             for data in chunks:
                 frame, _ = parse_frame(data, schema)
                 for column in hhmm_cols:

@@ -9,15 +9,19 @@ path ran.
 This module owns the record layout: a record ends at LF (one trailing CR is
 dropped), fields are split on one separator byte, and an optional quote byte
 makes the separator literal.  :func:`check_layout` validates both bytes.
-Two splitters share the layout.  :func:`_field_offsets` finds every field's
-byte offsets with one numpy scan, and :func:`_gather` copies a column of
-fields straight into an ``S`` array, with no Python object per field.  They
-serve every chunk that holds no quote byte and no NUL, CRLF and ragged
+Two splitters share the layout.  :func:`_field_offsets` finds the byte
+offsets of the fields of the columns a caller converts, with numpy scans of
+blocks of whole records, and keeps them as int32 (int64 for a chunk of
+2 GiB or more); :func:`_gather` copies a column of fields straight into an
+``S`` array, with no Python object per field.  So the memory a parse takes
+beyond its result is a fraction of its chunk, and a skipped column costs
+only its share of the scan.  They serve every chunk and every sample for
+:func:`infer_schema` that holds no quote byte and no NUL, CRLF and ragged
 records included: the CR before an LF ends the last field early, each
 record's field count comes from its LF, a short record's missing fields are
 empty and a long record's extra ones are dropped.  :func:`tokenize` splits
-quoted and NUL-bearing chunks, and the records that :func:`infer_schema`
-samples and :func:`_header_names` reads.
+quoted and NUL-bearing chunks and samples, and the header that
+:func:`_header_names` reads.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._coerce import ColumnType, convert_column, is_null_token, parse_field_ex
+from ._coerce import (_TYPES, ColumnType, _logical_bulk, _null_mask,
+                     convert_column, is_null_token)
 from .errors import (
     HeaderArityMismatch,
     MissingColumn,
@@ -54,6 +59,11 @@ __all__ = [
 
 # records after any header that infer_schema samples
 _SAMPLE_RECORDS = 1000
+# bytes per block of the offset scan: an array over each of a block's
+# fields stays under the 128 KiB from which glibc maps an allocation afresh
+_SCAN_BYTES = 1 << 15
+# chunks from this size on need int64 offsets
+_INT32_LIMIT = 1 << 31
 
 # _BYTE_MASKS[i] keeps the first i bytes of a little-endian 64-bit word
 _BYTE_MASKS = np.array([(1 << 8 * i) - 1 for i in range(9)], np.dtype("<u8"))
@@ -282,27 +292,91 @@ def split_quoted(record: bytes, sep: bytes, quote: bytes):
     return fields, flags
 
 
-def _field_offsets(chunk: bytes, ncol: int | None, sep: bytes):
+def _record_blocks(chunk: bytes):
+    """``(lo, hi)`` spans that tile ``chunk`` with whole records, each ending
+    at the first LF at or past ``_SCAN_BYTES`` bytes from its start, as the
+    chunker cuts windows."""
+    lo = 0
+    while lo < len(chunk):
+        hi = chunk.find(b"\n", lo + _SCAN_BYTES - 1) + 1 or len(chunk)
+        yield lo, hi
+        lo = hi
+
+
+def _field_offsets(chunk: bytes, ncol: int | None, sep: bytes, cols=None):
     """``(starts, ends, counts)`` for the fields :func:`tokenize` would split
     from ``chunk``: ``counts`` holds each record's field count, and
-    ``starts`` and ``ends`` the byte offsets of its first ``ncol`` fields
-    (record 0's count when ``ncol`` is None) as two ``(records, ncol)``
-    arrays, where a short record's missing fields are empty.  None for an
-    empty chunk or one holding a NUL.  Quotes are not looked for, and
-    ``sep`` must already have passed :func:`check_layout`."""
+    ``starts`` and ``ends`` the byte offsets of the fields in ``cols``, an
+    ascending index array (by default all ``ncol``, which is record 0's
+    count when None), as two ``(records, len(cols))`` arrays, where a short
+    record's missing fields are empty.  The offsets are int32 below
+    ``_INT32_LIMIT`` bytes and int64 from there.  None for an empty chunk or
+    one holding a NUL.  Quotes are not looked for, and ``sep`` must already
+    have passed :func:`check_layout`.
+
+    The chunk is scanned in blocks of whole records (see
+    :func:`_record_blocks`), so an array over every field of a block is the
+    size of a block, not of the chunk."""
     if not chunk or b"\x00" in chunk:
         return None
-    if not chunk.endswith(b"\n"):
-        chunk += b"\n"  # an unterminated last record ends with the chunk
+    if ncol is None:
+        record = chunk.split(b"\n", 1)[0]
+        # a CR separator before LF ends the record's last field
+        ncol = record.count(sep) + 1 - (sep == b"\r" and record.endswith(sep))
+    dtype = np.int32 if len(chunk) < _INT32_LIMIT else np.int64
+    n = chunk.count(b"\n") + (chunk[-1] != 10)
+    width = ncol if cols is None else len(cols)
+    starts = np.empty((n, width), dtype)
+    ends = np.empty((n, width), dtype)
+    counts = np.empty(n, dtype)
     a = np.frombuffer(chunk, np.uint8)
-    ends = np.flatnonzero((a == sep[0]) | (a == 10))
-    lf = a[ends] == 10
+    row = 0
+    for lo, hi in _record_blocks(chunk):
+        block = a[lo:hi] if chunk[hi - 1] == 10 else np.append(a[lo:hi], 10)
+        offsets = _scan_block(block, ncol, sep[0], cols)
+        rows = slice(row, row + len(offsets[2]))
+        starts[rows], ends[rows], counts[rows] = offsets
+        if lo:
+            starts[rows] += lo
+            ends[rows] += lo
+        row = rows.stop
+    return starts, ends, counts
+
+
+def _scan_block(b: np.ndarray, ncol: int, sep: int, cols):
+    """:func:`_field_offsets` of one block ``b`` of whole records that ends
+    in LF, with offsets from the block's start."""
+    is_lf = b == 10
+    hits = b == sep
+    hits |= is_lf
+    ends = np.flatnonzero(hits)
+    n = int(np.count_nonzero(is_lf))
+    if (sep != 13 and len(ends) == n * ncol
+            and (b[ends[ncol - 1::ncol]] == 10).all()):
+        # every record has ncol fields, each starting one byte past the end
+        # of the field before it, or of the record before
+        ends = ends.reshape(n, ncol)
+        if cols is None:
+            starts = np.empty_like(ends)
+            starts.ravel()[1:] = ends.ravel()[:-1] + 1
+            starts[0, 0] = 0
+        else:
+            starts = ends[:, cols - 1] + 1
+            if len(cols) and cols[0] == 0:
+                starts[0, 0] = 0
+                starts[1:, 0] = ends[:-1, -1] + 1
+        # the CR tokenize drops before LF ends the last field early
+        ends[:, -1] -= b[ends[:, -1] - 1] == 13
+        if cols is not None:
+            ends = ends[:, cols]
+        return starts, ends, np.full(n, ncol)
+    lf = b[ends] == 10
     last = np.flatnonzero(lf)  # each record's last field
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    cr = last[a[ends[last] - 1] == 13]  # the CR tokenize drops before LF
-    if len(cr) and sep == b"\r":
+    cr = last[b[ends[last] - 1] == 13]  # the CR tokenize drops before LF
+    if len(cr) and sep == 13:
         # that CR is a separator: its record loses the empty field after it
         lf[cr - 1] = True
         keep = np.ones(len(ends), np.bool_)
@@ -312,29 +386,37 @@ def _field_offsets(chunk: bytes, ncol: int | None, sep: bytes):
     else:
         ends[cr] -= 1  # the CR lies in the record's last field
     counts = np.diff(last, prepend=-1)
-    ncol = ncol or int(counts[0])
-    if (counts == ncol).all():
-        return starts.reshape(-1, ncol), ends.reshape(-1, ncol), counts
-    idx = np.minimum((last - counts + 1)[:, None] + np.arange(ncol),
-                     last[:, None])
+    if cols is None:
+        cols = np.arange(ncol)
+    idx = np.minimum((last - counts + 1)[:, None] + cols, last[:, None])
     ends = ends[idx]
-    starts = np.where(np.arange(ncol) < counts[:, None], starts[idx], ends)
+    starts = np.where(cols < counts[:, None], starts[idx], ends)
     return starts, ends, counts
 
 
 def _gather(chunk: bytes, starts: np.ndarray, ends: np.ndarray):
     """The fields ``chunk[s:e]`` as one ``S`` array, exact only for a
     NUL-free chunk since an ``S`` array strips NULs.  Each field is copied as
-    whole 64-bit words from its start, and the words are masked past its end.
-    When one long field would make that array over four times the chunk, the
-    fields come back as a list of ``bytes`` instead."""
+    whole 64-bit words from its start, and the words are masked past its end;
+    a field within a window of the chunk's end is copied from a padded copy
+    of that window.  When one long field would make that array over four
+    times the chunk, the fields come back as a list of ``bytes`` instead."""
     lens = ends - starts
     k = -(-int(lens.max()) // 8) or 1  # words per field
     if len(starts) * 8 * k > 4 * len(chunk):
         return [chunk[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
-    windows = np.ndarray((len(chunk) + 1,), dtype=f"S{8 * k}",
-                         buffer=chunk + bytes(8 * k), strides=(1,))
-    fields = windows[starts]
+    width = 8 * k
+    cut = max(len(chunk) + 1 - width, 0)  # a window from here on runs past
+    tail = np.ndarray((len(chunk) + 1 - cut,), dtype=f"S{width}",
+                      buffer=chunk[cut:] + bytes(width), strides=(1,))
+    if cut:
+        windows = np.ndarray((cut,), dtype=f"S{width}", buffer=chunk,
+                             strides=(1,))
+        fields = windows[np.minimum(starts, cut - 1)]
+        late = np.flatnonzero(starts >= cut)
+        fields[late] = tail[starts[late] - cut]
+    else:
+        fields = tail[starts]
     words = fields.view("<u8").reshape(len(fields), k)
     words &= _BYTE_MASKS[np.clip(lens - 8 * np.arange(k)[:, None], 0, 8)].T
     return fields
@@ -357,18 +439,20 @@ def _uniform_arity(counts) -> int:
 
 def _build_frame(chunk: bytes, schema: Schema):
     n_cols = len(schema.types)
+    kept = [j for j, t in enumerate(schema.types) if t is not ColumnType.SKIP]
+    cols = None if len(kept) == n_cols else np.array(kept, np.intp)
     offsets = (None if schema.quote is not None and schema.quote in chunk
-               else _field_offsets(chunk, n_cols, schema.field_sep))
+               else _field_offsets(chunk, n_cols, schema.field_sep, cols))
     if offsets is not None:
         starts, ends, counts = offsets
 
-        def fields(j):
-            return _gather(chunk, starts[:, j], ends[:, j]), None
+        def fields(k, j):
+            return _gather(chunk, starts[:, k], ends[:, k]), None
     else:
         rows, qrows = tokenize(chunk, schema.field_sep, schema.quote)
         counts = np.array([len(row) for row in rows], np.intp)
 
-        def fields(j):
+        def fields(k, j):
             # a short record's missing fields are empty and unquoted
             return ([row[j] if j < len(row) else b"" for row in rows],
                     None if qrows is None else
@@ -377,15 +461,12 @@ def _build_frame(chunk: bytes, schema: Schema):
     names = schema.out_names()
     columns = []
     failures = {}
-    out_i = 0
-    for j, ctype in enumerate(schema.types):
-        if ctype is ColumnType.SKIP:
-            continue
-        column, quoted = fields(j)
+    for k, j in enumerate(kept):
+        column, quoted = fields(k, j)
+        ctype = schema.types[j]
         values, mask, fails = convert_column(column, ctype, quoted, bulk)
-        columns.append(Column(names[out_i], ctype, values, mask))
-        failures[names[out_i]] = fails
-        out_i += 1
+        columns.append(Column(names[k], ctype, values, mask))
+        failures[names[k]] = fails
     report = ParseReport(len(counts), int(np.count_nonzero(counts < n_cols)),
                          int(np.count_nonzero(counts > n_cols)), failures)
     return Frame(columns), report
@@ -445,28 +526,62 @@ def infer_schema(sample: bytes, field_sep: bytes = b",") -> Schema:
     """Guess column types from the first ``_SAMPLE_RECORDS`` records of a
     sample; the rest of it is not split.
 
-    Candidate order per column is Logical, Integer, Real, then Character;
-    null tokens are ignored and an all-null column becomes Character.  The
+    A column is the first of Logical, Integer and Real that reads every
+    non-null cell, else Character; an all-null column is Character.  The
     Bytes, Complex, and Timestamp types are never inferred.  Quote handling
     is not applied while sampling, and sampled records that disagree on
     field count raise RaggedInput.
     """
-    rows = tokenize(sample, field_sep, limit=_SAMPLE_RECORDS)[0]
-    if not rows:
-        raise SchemaError("cannot infer a schema from an empty sample")
-    types = [_infer_column([row[j] for row in rows])
-             for j in range(_uniform_arity([len(row) for row in rows]))]
-    return Schema(types=tuple(types), field_sep=field_sep)
+    check_layout(field_sep)
+    end = 0
+    for _ in range(_SAMPLE_RECORDS):
+        end = sample.find(b"\n", end) + 1
+        if not end:
+            end = len(sample)
+            break
+    head = sample[:end]
+    offsets = _field_offsets(head, None, field_sep)
+    if offsets is not None:
+        starts, ends, counts = offsets
+        columns = [_gather(head, starts[:, j], ends[:, j])
+                   for j in range(_uniform_arity(counts))]
+    else:
+        rows = tokenize(head, field_sep)[0]
+        if not rows:
+            raise SchemaError("cannot infer a schema from an empty sample")
+        columns = [[row[j] for row in rows]
+                   for j in range(_uniform_arity([len(row) for row in rows]))]
+    return Schema(types=tuple(map(_infer_column, columns)),
+                  field_sep=field_sep)
 
 
 def _infer_column(fields) -> ColumnType:
-    present = [f for f in fields if not is_null_token(f)]
-    if not present:
+    """The type :func:`infer_schema` gives a column: ``fields`` is an ``S``
+    array of NUL-free cells, which each candidate type reads with one cast,
+    or a list of bytes, which it reads a cell at a time."""
+    if isinstance(fields, list):
+        if any(b"\x00" in f for f in fields):
+            return ColumnType.CHARACTER  # no other type reads a NUL
+        # a list holds a cell too long to widen every cell to
+        cells = [np.array([f]) for f in fields if not is_null_token(f)]
+    else:
+        cells = [fields[~_null_mask(fields)]]
+    if not any(len(c) for c in cells):
         return ColumnType.CHARACTER
-    for cand in (ColumnType.LOGICAL, ColumnType.INTEGER, ColumnType.REAL):
-        if all(not parse_field_ex(f, cand)[1] for f in present):
-            return cand
+    for ctype in (ColumnType.LOGICAL, ColumnType.INTEGER, ColumnType.REAL):
+        if all(_reads_all(c, ctype) for c in cells):
+            return ctype
     return ColumnType.CHARACTER
+
+
+def _reads_all(cells: np.ndarray, ctype: ColumnType) -> bool:
+    if ctype is ColumnType.LOGICAL:
+        return not _logical_bulk(cells)[2]
+    try:
+        cells.astype(_TYPES[ctype].dtype)
+    except (ValueError, OverflowError):
+        return False
+    return True
 
 
 def concat_frames(frames: Sequence[Frame]) -> Frame:

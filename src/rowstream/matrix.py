@@ -14,8 +14,8 @@ import numpy as np
 
 from ._coerce import ColumnType, convert_column
 from .errors import SchemaError
-from .frame import (_field_offsets, _gather, _uniform_arity, check_layout,
-                    tokenize)
+from .frame import (_field_offsets, _gather, _record_blocks, _uniform_arity,
+                    check_layout, tokenize)
 
 __all__ = ["DenseMatrix", "parse_matrix", "MATRIX_TYPES"]
 
@@ -67,20 +67,33 @@ def parse_matrix(chunk: bytes, elem_type: ColumnType, field_sep: bytes = b","):
     if elem_type not in MATRIX_TYPES:
         raise SchemaError(f"matrices cannot hold {elem_type.value} elements")
     check_layout(field_sep)
-    offsets = _field_offsets(chunk, None, field_sep)
-    if offsets is not None:
-        starts, ends, counts = offsets
-        n_rows, arity = len(counts), _uniform_arity(counts)
-        fields = _gather(chunk, starts.ravel(), ends.ravel())
-    else:
+    if not chunk or b"\x00" in chunk:
         rows = tokenize(chunk, field_sep)[0]
         n_rows, arity = len(rows), _uniform_arity([len(row) for row in rows])
-        fields = [f for row in rows for f in row]
-    bulk = b"\x00" not in chunk
-    values, _mask, failures = convert_column(fields, elem_type, None, bulk)
-    if elem_type is ColumnType.CHARACTER:
-        data = np.empty(len(values), dtype=object)
+        values, _mask, failures = convert_column(
+            [f for row in rows for f in row], elem_type, None, not chunk)
+        data = np.empty(len(values), _dtype(values))
         data[:] = values
-    else:
-        data = values
+        return DenseMatrix(data.reshape(n_rows, arity)), failures
+    # block by block, so that no per-field array outgrows a block
+    n_rows = chunk.count(b"\n") + (not chunk.endswith(b"\n"))
+    data, ncol, pos, counts, failures = None, None, 0, [], 0
+    for lo, hi in _record_blocks(chunk):
+        block = chunk[lo:hi]
+        starts, ends, block_counts = _field_offsets(block, ncol, field_sep)
+        ncol = starts.shape[1]
+        values, _mask, fails = convert_column(
+            _gather(block, starts.ravel(), ends.ravel()), elem_type)
+        if data is None:
+            data = np.empty(n_rows * ncol, _dtype(values))
+        data[pos:pos + len(values)] = values
+        pos += len(values)
+        counts.append(block_counts)
+        failures += fails
+    arity = _uniform_arity(np.concatenate(counts))
     return DenseMatrix(data.reshape(n_rows, arity)), failures
+
+
+def _dtype(values):
+    # a Character matrix holds its strings in an object array
+    return values.dtype if isinstance(values, np.ndarray) else object

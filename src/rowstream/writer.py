@@ -46,6 +46,8 @@ _KIND_TYPES = {"f": ColumnType.REAL, "i": ColumnType.INTEGER, "u": ColumnType.IN
 _TEXT = (ColumnType.CHARACTER, ColumnType.BYTES)
 # block bytes laid out per np.compress call
 _SLICE_BYTES = 1 << 16
+# matrix cells spelled per call
+_SPELL_CELLS = 4096
 
 
 def _guard(cell: bytes, sep: bytes, quote, last_col: bool) -> bytes:
@@ -191,7 +193,11 @@ def format_matrix(matrix: DenseMatrix, field_sep: bytes = b",") -> bytes:
         return b""
     null = np.equal(v, None) if v.dtype.kind == "O" else np.zeros(v.shape, bool)
     ctype = _KIND_TYPES.get(v.dtype.kind, ColumnType.CHARACTER)
-    return _lay_out([(v, null, ctype)], field_sep, None)
+    # a slice of rows at a time, so that no spelling array outgrows it
+    step = max(1, _SPELL_CELLS // v.shape[1])
+    return b"".join(_lay_out([(v[lo:lo + step], null[lo:lo + step], ctype)],
+                             field_sep, None)
+                    for lo in range(0, len(v), step))
 
 
 def append_to_checkpoint(sink: BinaryIO, data: bytes) -> BinaryIO:

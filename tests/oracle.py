@@ -8,18 +8,22 @@ the shape of a straightforward hand-rolled reader.  The bulk path in
 (balanced quotes assumed when quoting is on).  The naive writer spells one
 ``bytes`` object per cell, guards each one and joins rows, and
 ``rowstream.writer.format_frame`` must write the same bytes or raise the same
-exception type.  ``synthetic_csv`` generates
-deterministic mixed-type input for the differential and speed checks.
+exception type.  ``naive_infer_schema`` is the per-field type rule that
+``rowstream.frame.infer_schema`` must agree with.  ``synthetic_csv`` generates
+deterministic mixed-type input for the differential and speed checks, and
+``airline_csv`` records shaped like the ASA airline files for the memory
+checks.
 
 A plain module, not collected by pytest; tests import it as ``oracle``.
 """
 
 import numpy as np
 
-from rowstream._coerce import ColumnType, is_null_token, parse_field_ex
-from rowstream.errors import SeparatorCollision
+from rowstream._coerce import _TYPES, ColumnType, is_null_token
+import rowstream.frame
+from rowstream.errors import SchemaError, SeparatorCollision
 from rowstream.frame import (Column, Frame, ParseReport, Schema, _enforce_strict,
-                             check_layout)
+                             _uniform_arity, check_layout, tokenize)
 
 _FILL = {
     ColumnType.LOGICAL: False,
@@ -38,6 +42,24 @@ _DTYPE = {
     ColumnType.TIMESTAMP: np.float64,
     ColumnType.COMPLEX: np.complex128,
 }
+
+
+def parse_field_ex(field: bytes, ctype: ColumnType, quoted: bool = False):
+    """Coerce one field with its type's scalar read; returns ``(value,
+    failed)``.
+
+    Nulls (empty field or ``NA``, unless the field was quoted) come back as
+    ``(None, False)``; malformed fields as ``(None, True)``.  Only the latter
+    counts as a coercion failure.
+    """
+    if ctype is ColumnType.SKIP:
+        raise SchemaError("skip columns have no values")
+    if not quoted and is_null_token(field):
+        return None, False
+    try:
+        return _TYPES[ctype].read(field), False
+    except ValueError:
+        return None, True
 
 
 def _naive_split_fields(record: bytes, sep: int, quote):
@@ -149,6 +171,54 @@ def naive_parse_frame(chunk: bytes, schema: Schema, strict: bool = False):
     return Frame(columns), report
 
 
+def naive_infer_schema(sample: bytes, field_sep: bytes = b",") -> Schema:
+    """Infer with the per-field rule: each column is the first of Logical,
+    Integer and Real whose scalar read takes every non-null cell of the
+    first ``_SAMPLE_RECORDS`` records, else Character.
+
+    Same contract and same results as :func:`rowstream.infer_schema`."""
+    rows = tokenize(sample, field_sep,
+                    limit=rowstream.frame._SAMPLE_RECORDS)[0]
+    if not rows:
+        raise SchemaError("cannot infer a schema from an empty sample")
+    types = [_naive_infer_column([row[j] for row in rows])
+             for j in range(_uniform_arity([len(row) for row in rows]))]
+    return Schema(types=tuple(types), field_sep=field_sep)
+
+
+def _naive_infer_column(fields) -> ColumnType:
+    present = [f for f in fields if not is_null_token(f)]
+    if not present:
+        return ColumnType.CHARACTER
+    for cand in (ColumnType.LOGICAL, ColumnType.INTEGER, ColumnType.REAL):
+        if all(not parse_field_ex(f, cand)[1] for f in present):
+            return cand
+    return ColumnType.CHARACTER
+
+
+def naive_parse_matrix(chunk: bytes, elem_type: ColumnType,
+                       field_sep: bytes = b","):
+    """Parse a matrix record by record and cell by cell.
+
+    Same contract and same results as :func:`rowstream.parse_matrix`."""
+    records = chunk.split(b"\n")
+    if records[-1] == b"":
+        records.pop()
+    rows = [_naive_split_fields(r[:-1] if r.endswith(b"\r") else r,
+                                field_sep[0], None)[0] for r in records]
+    arity = _uniform_arity([len(row) for row in rows])
+    fill = None if elem_type is ColumnType.CHARACTER else _FILL[elem_type]
+    values, failures = [], 0
+    for row in rows:
+        for cell in row:
+            value, failed = parse_field_ex(cell, elem_type)
+            values.append(fill if value is None else value)
+            failures += failed
+    data = np.empty(len(values), _DTYPE.get(elem_type, object))
+    data[:] = values
+    return data.reshape(len(rows), arity), failures
+
+
 def _render_real(v: float) -> bytes:
     # the shortest decimal that parses back to the same double
     return repr(v).encode("ascii")
@@ -244,3 +314,31 @@ def synthetic_csv(n_bytes: int, seed: int = 0) -> bytes:
         pieces.append(block)
         total += len(block)
     return b"".join(pieces)
+
+
+AIRLINE_HEADER = (
+    "Year,Month,DayofMonth,DayOfWeek,DepTime,CRSDepTime,ArrTime,CRSArrTime,"
+    "UniqueCarrier,FlightNum,TailNum,ActualElapsedTime,CRSElapsedTime,"
+    "AirTime,ArrDelay,DepDelay,Origin,Dest,Distance,TaxiIn,TaxiOut,"
+    "Cancelled,CancellationCode,Diverted,CarrierDelay,WeatherDelay,NASDelay,"
+    "SecurityDelay,LateAircraftDelay")
+
+
+def airline_csv(n_rows: int, seed: int = 0) -> bytes:
+    """Headerless records with the 29 columns of ``AIRLINE_HEADER``: clock
+    times as hhmm, delays, carrier and airport codes, and NA cells."""
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(0, 1000, (n_rows, 12)).tolist()
+    clocks = (rng.integers(0, 24, (n_rows, 4)) * 100
+              + rng.integers(0, 60, (n_rows, 4))).tolist()
+    codes = rng.integers(0, len(_WORDS), (n_rows, 3)).tolist()
+    rows = []
+    for i, c, w in zip(ints, clocks, codes):
+        rows.append(
+            f"2008,{i[0] % 12 + 1},{i[1] % 28 + 1},{i[2] % 7 + 1},{c[0]},"
+            f"{c[1]},{c[2]},{c[3]},{_WORDS[w[0]][:2].upper()},{i[3]},"
+            f"N{i[4]}AB,{i[5] % 300},{i[6] % 300},{i[7] % 280},"
+            f"{i[8] % 120 - 20},{i[9] % 120 - 20},{_WORDS[w[1]][:3].upper()},"
+            f"{_WORDS[w[2]][:3].upper()},{i[10] + 100},{i[11] % 30},"
+            f"{i[0] % 40},0,,0,NA,NA,NA,NA,NA")
+    return ("\n".join(rows) + "\n").encode("ascii")

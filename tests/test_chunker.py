@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -238,3 +239,19 @@ def test_window_tiling_equals_one_pass(lengths, target, terminated, read_size,
         got = outcome(tiled)
     assert got == outcome(lambda: chunk_bytes(data, target_bytes=target))
     assert isinstance(got, str) == over_cap(lengths, target)
+
+
+def test_iter_chunks_holds_a_few_targets(tmp_path):
+    # reads stop at the window: the chunk the caller holds, the window being
+    # read and the chunk cut from it, however large the file
+    target = 128 * 1024
+    path = tmp_path / "rows.txt"
+    path.write_bytes(b"".join(b"%d,%d\n" % (i, i * 7) for i in range(400_000)))
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in iter_chunks(path, ChunkerConfig(target)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n > 30
+    assert peak < 4 * target, peak / target

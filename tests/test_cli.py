@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -7,17 +8,19 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import AIRLINE_HEADER, airline_csv
 from test_chunk_apply import RecordingPool
 
 import rowstream.apply
 import rowstream.cli
-from rowstream import read_sidecar, write_sidecar
+from rowstream import ChunkerConfig, read_sidecar, write_sidecar
 from rowstream.cli import main
 from rowstream.frame import _SAMPLE_RECORDS
 
@@ -259,6 +262,12 @@ def test_parse_starts_no_pool_for_one_window_one_cpu_or_a_fifo(
     src, fifo = tmp_path / "in.csv", tmp_path / "in.fifo"
     os.mkfifo(fifo)
 
+    # each read of the clock is a microsecond after the one before, so the
+    # throughput in MB/s is the count of bytes read
+    clock = itertools.count(0, 1e-6)
+    monkeypatch.setattr(rowstream.cli, "time",
+                        SimpleNamespace(perf_counter=lambda: next(clock)))
+
     def parse(path, data, cpus):
         monkeypatch.setattr(rowstream.cli, "_usable_cpus", lambda: cpus)
         if path == fifo:
@@ -270,6 +279,7 @@ def test_parse_starts_no_pool_for_one_window_one_cpu_or_a_fifo(
         got = run(["parse", str(path), "--header", "--schema", "i,c"],
                   capsysbinary)
         assert got[:2] == (0, data)
+        assert f"throughput: {len(data):.1f} MB/s" in got[2].splitlines()
         if path == fifo:
             writer.join(10)
             assert not writer.is_alive()
@@ -280,6 +290,21 @@ def test_parse_starts_no_pool_for_one_window_one_cpu_or_a_fifo(
     assert RecordingPool.sizes == []
     parse(src, three, 4)  # three windows
     assert RecordingPool.sizes == [3]
+
+
+def test_runs_that_start_no_pool_do_not_import_one(tmp_path):
+    # concurrent.futures brings multiprocessing, socket and selectors
+    src = tmp_path / "a.csv"
+    src.write_bytes(b"1,a\n")
+    code = (
+        "import sys, rowstream.cli\n"
+        "assert rowstream.cli.main(['parse', sys.argv[1], '--schema', 'i,c',"
+        " '--out', sys.argv[1] + '.out']) == 0\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'}"
+        " & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_parse_missing_file_exit_one(capsysbinary):
@@ -618,3 +643,58 @@ def test_mm_drops_non_finite_rows_so_fit_solves(tmp_path, capsysbinary, bad,
         assert code == 0, err
         fits.append(out)
     assert fits[0] == fits[1]
+
+
+# Spawns a command and prints its exit code and peak RSS in KiB.  A child's
+# ru_maxrss includes the high-water mark of the process that forked it, so
+# the command is spawned from this small process rather than from pytest.
+# It runs on at most two CPUs, so that parse's master holds at most two
+# chunks in flight on any machine.
+_TRAMPOLINE = """
+import os, subprocess, sys
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss(*argv) -> int:
+    env = dict(os.environ)
+    env.pop("CHUNK_TARGET_BYTES", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRAMPOLINE, sys.executable, *argv],
+        capture_output=True, text=True, env=env, check=True)
+    code, kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return kib * 1024
+
+
+def test_commands_peak_at_a_few_chunks_above_the_import_floor(tmp_path):
+    """At the default chunk size, ``mm``, ``fit`` and ``parse`` of a 30 MB
+    airline-shaped file each peak within a stated multiple of the chunk
+    size above what ``import rowstream.cli`` takes (measured: 8.8, 6.8 and
+    15-16 chunks).  ``parse`` converts all 29 columns, and its frame alone
+    holds five times its chunk, most of it one ``str`` per Character cell.
+    At a 32 MiB chunk size the three peaked at 321, 201 and 139 MB."""
+    target = ChunkerConfig().target_bytes
+    csv = tmp_path / "air.csv"
+    csv.write_bytes(AIRLINE_HEADER.encode() + b"\n" + airline_csv(10_000) * 30)
+    ckpt = tmp_path / "air.mm"
+    floor = _peak_rss("-c", "import rowstream.cli")
+    peaks = {
+        "mm": _peak_rss(
+            "-m", "rowstream", "mm", str(csv), "--header", "--response",
+            "ArrDelay", "--factor", "DayOfWeek=1,2,3,4,5,6,7", "--hhmm",
+            "DepTime", "--numeric", "DepDelay", "--out", str(ckpt)),
+        "fit": _peak_rss("-m", "rowstream", "fit", str(ckpt), "--response",
+                         "ArrDelay"),
+        "parse": _peak_rss("-m", "rowstream", "parse", str(csv), "--header",
+                           "--schema", "infer", "--out",
+                           str(tmp_path / "out.csv")),
+    }
+    above = {name: round((peak - floor) / target, 1)
+             for name, peak in peaks.items()}
+    bounds = {"mm": 12, "fit": 10, "parse": 20}
+    assert all(above[name] < bounds[name] for name in bounds), above

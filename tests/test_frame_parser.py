@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,11 @@ from rowstream import (
 )
 import rowstream.frame
 import rowstream.matrix
-from rowstream._coerce import _column_slow, convert_column, parse_field_ex
+from rowstream._coerce import _column_slow, convert_column
 from rowstream.frame import _SAMPLE_RECORDS, _field_offsets, _gather
 
-from oracle import _naive_split_fields, naive_parse_frame
+from oracle import (_naive_split_fields, airline_csv, naive_infer_schema,
+                    naive_parse_frame, parse_field_ex)
 
 L = ColumnType.LOGICAL
 I = ColumnType.INTEGER
@@ -278,6 +281,50 @@ def test_infer_schema_caps_sample_size():
     n = _SAMPLE_RECORDS
     assert infer_schema(b"1\n" * n + b"oops\n").types == (I,)
     assert infer_schema(b"1\n" * (n - 1) + b"oops\n").types == (C,)
+
+
+# cells on either side of each candidate type's grammar
+_INFER_CELLS = [b"1", b"-2", b" 3", b"+4", b"1_0", b"007", b"1e3", b"2.5",
+                b"-0.0", b"nan", b"inf", b"-Infinity", b"0x1", b"TRUE", b"T",
+                b"F", b"FALSE", b"true", b"NA", b"", b"NA ", b"x",
+                b"9223372036854775807", b"9223372036854775808",
+                b"-9223372036854775808", b"-9223372036854775809", b"\x00",
+                b"1\x00", b"\r", b"0" * 300 + b"5", b"caf\xc3\xa9", b"\xff"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    columns=st.lists(st.lists(st.sampled_from(_INFER_CELLS), min_size=1,
+                              max_size=6), min_size=1, max_size=4),
+    n_rows=st.integers(1, 9),
+    ragged=st.booleans(),
+    crlf=st.booleans(),
+    final_newline=st.booleans(),
+    sep=st.sampled_from([b",", b"\t", b"\r"]),
+    limit=st.integers(1, 10),
+)
+def test_infer_schema_matches_the_per_field_rule(
+        columns, n_rows, ragged, crlf, final_newline, sep, limit):
+    """One cast per column and candidate type gives the type the per-field
+    rule gives, or the same exception, on either splitter (a NUL sends the
+    sample to tokenize, and a 301-byte cell makes the scan gather a list),
+    with ragged and CRLF samples and a sample longer than the limit."""
+    rows = [[col[i % len(col)] for col in columns] for i in range(n_rows)]
+    if ragged:
+        rows[-1] = rows[-1][:-1] or rows[-1] * 2
+    eol = b"\r\n" if crlf else b"\n"
+    sample = eol.join(sep.join(row) for row in rows)
+    if final_newline:
+        sample += eol
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rowstream.frame, "_SAMPLE_RECORDS", limit)
+        outcomes = []
+        for infer in (infer_schema, naive_infer_schema):
+            try:
+                outcomes.append(infer(sample, sep).types)
+            except (RaggedInput, SchemaError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_concat_matches_single_parse():
@@ -581,3 +628,34 @@ def test_readme_cell_grammar_nan_and_nulls():
     assert frame.column("V1").mask.tolist() == [True, True]
     assert frame.column("V2").values == ["NA", ""]
     assert report.total_failures == 0
+
+
+def _airline_schema():
+    # mm's projection: the four model columns of 29
+    kept = {3: I, 4: I, 14: I, 15: I}
+    return Schema(tuple(kept.get(j, S) for j in range(29)))
+
+
+def test_projected_parse_holds_about_one_chunk():
+    # offsets are kept for the four converted columns only, as int32, and
+    # no column is gathered from a copy of the chunk
+    chunk = airline_csv(10_000)
+    tracemalloc.start()
+    try:
+        frame, report = parse_frame(chunk, _airline_schema())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.n_rows == 10_000 and report.total_failures == 0
+    assert peak < 1.5 * len(chunk), peak / len(chunk)
+
+
+def test_int64_offsets_parse_the_same(monkeypatch):
+    chunk = airline_csv(300) + b"2008,1,2,3\r\n"  # a short CRLF record
+    schema = _airline_schema()
+    expected = parse_frame(chunk, schema)
+    monkeypatch.setattr(rowstream.frame, "_INT32_LIMIT", 64)
+    monkeypatch.setattr(rowstream.frame, "_SCAN_BYTES", 1000)
+    starts, ends, counts = _field_offsets(chunk, 29, b",", np.array([3, 15]))
+    assert starts.dtype == ends.dtype == np.int64
+    assert parse_frame(chunk, schema) == expected

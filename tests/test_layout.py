@@ -71,28 +71,52 @@ def _check_against_reference(rows, crlf, final_newline, quote, limit, types,
     assert some_quoted == (None if quote is None else all_quoted[:limit])
 
 
-def test_parse_frame_matches_naive_reference(monkeypatch):
-    """Both splitters must serve some of the examples: the offset scan takes
-    every chunk that holds no quote byte or NUL, whether or not the schema
-    sets a quote byte, CRLF and ragged chunks included, and tokenize takes
-    the rest."""
+def _served_examples(monkeypatch):
+    """Run the differential and count which splitter served each example,
+    and how many of the scan's chunks were CRLF, ragged or projected (a
+    SKIP column in the schema) and how many blocks it scanned."""
     served = Counter()
     scan = rowstream.frame._field_offsets
 
-    def counted(chunk, ncol, sep):
-        offsets = scan(chunk, ncol, sep)
+    def counted(chunk, ncol, sep, cols=None):
+        offsets = scan(chunk, ncol, sep, cols)
         splitter = "offsets" if offsets is not None else "tokenize"
         served[splitter, _drawn["quote"] is not None] += 1
         if offsets is not None:
             served["crlf"] += b"\r\n" in chunk
             served["ragged"] += bool((offsets[2] != ncol).any())
+            served["skip"] += cols is not None
+            blocks = len(list(rowstream.frame._record_blocks(chunk)))
+            served["blocks>1"] += blocks > 1
+            served["crlf, blocks>1"] += blocks > 1 and b"\r\n" in chunk
         return offsets
 
     monkeypatch.setattr(rowstream.frame, "_field_offsets", counted)
     _check_against_reference()
+    return served
+
+
+def test_parse_frame_matches_naive_reference(monkeypatch):
+    """Both splitters must serve some of the examples: the offset scan takes
+    every chunk that holds no quote byte or NUL, whether or not the schema
+    sets a quote byte, CRLF and ragged chunks and those with SKIP columns
+    included, and tokenize takes the rest."""
+    served = _served_examples(monkeypatch)
     assert (served["offsets", False] and served["offsets", True]
             and served["tokenize", False] and served["crlf"]
-            and served["ragged"]), served
+            and served["ragged"] and served["skip"]), served
+
+
+@pytest.mark.parametrize("scan_bytes", [1, 2, 7])
+def test_parse_frame_matches_naive_reference_across_scan_blocks(
+        monkeypatch, scan_bytes):
+    """With scan blocks of a few bytes, most records, and their CRLF pairs,
+    run past a block's first ``scan_bytes`` bytes, and a chunk takes
+    several blocks."""
+    monkeypatch.setattr(rowstream.frame, "_SCAN_BYTES", scan_bytes)
+    served = _served_examples(monkeypatch)
+    assert (served["crlf"] and served["ragged"] and served["skip"]
+            and served["crlf, blocks>1"]), served
 
 
 _LAYOUT_USERS = {

@@ -1,14 +1,25 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rowstream.frame
+import rowstream.matrix
 from rowstream import (
     ColumnType,
+    DenseMatrix,
     RaggedInput,
     Schema,
     SchemaError,
+    format_matrix,
     parse_frame,
     parse_matrix,
 )
+
+from oracle import naive_parse_matrix
 
 REAL = ColumnType.REAL
 
@@ -114,3 +125,93 @@ def test_one_ragged_record_is_named(odd, n):
     with pytest.raises(RaggedInput, match=f"record 2 has {n} fields, "
                                           "record 0 has 2"):
         parse_matrix(b"1,2\n3,4\n" + odd + b"\n", REAL)
+
+
+_MATRIX_CELLS = [b"1", b"-2.5", b"NA", b"", b"x", b"TRUE", b"F", b"1e3",
+                 b"9223372036854775808", b"\r", b"\x00", b"caf\xc3\xa9"]
+_served = Counter()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.sampled_from(_MATRIX_CELLS), min_size=1,
+                           max_size=4), min_size=1, max_size=8),
+    uniform=st.booleans(),
+    crlf=st.booleans(),
+    final_newline=st.booleans(),
+    sep=st.sampled_from([b",", b"\r"]),
+    elem_type=st.sampled_from([REAL, ColumnType.INTEGER, ColumnType.LOGICAL,
+                               ColumnType.CHARACTER]),
+)
+def _check_matrix_against_reference(rows, uniform, crlf, final_newline, sep,
+                                    elem_type):
+    if uniform:
+        rows = [(row * 4)[:len(rows[0])] for row in rows]
+    eol = b"\r\n" if crlf else b"\n"
+    chunk = eol.join(sep.join(row) for row in rows)
+    if final_newline:
+        chunk += eol
+    outcomes = []
+    for parse in (parse_matrix, naive_parse_matrix):
+        try:
+            values, failures = parse(chunk, elem_type, sep)
+            values = getattr(values, "values", values)
+            outcomes.append((values.shape, values.tolist() if
+                             elem_type is ColumnType.CHARACTER else
+                             values.tobytes(), failures))
+        except RaggedInput as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    _served["crlf"] += b"\r\n" in chunk and b"\x00" not in chunk
+    _served["ragged"] += isinstance(outcomes[0], str)
+
+
+@pytest.mark.parametrize("scan_bytes", [1, 2, 7, 1 << 15])
+def test_parse_matrix_matches_naive_reference(monkeypatch, scan_bytes):
+    """Blocks of 1, 2 and 7 bytes end at almost every record, so records
+    and CRLF pairs run past a block's first bytes and a chunk takes many
+    blocks; the scan serves the NUL-free chunks, CRLF and ragged ones too."""
+    blocks = rowstream.matrix._record_blocks
+
+    def counted(chunk):
+        spans = list(blocks(chunk))
+        _served["crlf, blocks>1"] += len(spans) > 1 and b"\r\n" in chunk
+        return spans
+
+    monkeypatch.setattr(rowstream.frame, "_SCAN_BYTES", scan_bytes)
+    monkeypatch.setattr(rowstream.matrix, "_record_blocks", counted)
+    _served.clear()
+    _check_matrix_against_reference()
+    assert _served["crlf"] and _served["ragged"], _served
+    assert bool(_served["crlf, blocks>1"]) == (scan_bytes < 8), _served
+
+
+def _checkpoint_chunk(n_rows=10_000, n_cols=10):
+    """Text as ``mm`` writes it: integral and one-decimal reals."""
+    rng = np.random.default_rng(3)
+    values = rng.integers(-300, 1500, (n_rows, n_cols)) / 10 ** (
+        rng.random((n_rows, n_cols)) < 0.3)
+    return format_matrix(DenseMatrix(values))
+
+
+def test_parse_matrix_holds_a_few_chunk_bytes():
+    # the float64 result takes 1.8 bytes per chunk byte here; the scan's,
+    # the gather's and the cast's arrays each cover one block
+    chunk = _checkpoint_chunk()
+    tracemalloc.start()
+    try:
+        matrix, failures = parse_matrix(chunk, REAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.values.shape == (10_000, 10) and failures == 0
+    assert peak < 4 * len(chunk), peak / len(chunk)
+
+
+def test_int64_offsets_read_the_same(monkeypatch):
+    chunk = _checkpoint_chunk(300)
+    expected, _ = parse_matrix(chunk, REAL)
+    monkeypatch.setattr(rowstream.frame, "_INT32_LIMIT", 64)
+    assert rowstream.frame._field_offsets(chunk, None, b",")[0].dtype == np.int64
+    got, _ = parse_matrix(chunk, REAL)
+    assert got.values.tobytes() == expected.values.tobytes()

@@ -1,11 +1,13 @@
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rowstream.writer
 from rowstream import (
     Column,
     ColumnType,
@@ -191,7 +193,8 @@ _INTEGRAL = (st.integers(-1000, 1000) | st.integers(-10**16, 10**16)).map(float)
 @given(st.data())
 def test_format_matrix_spells_reals_as_repr(data):
     """Integral matrices take the digit spelling, others the per-cell one;
-    both must write what ``repr`` writes."""
+    both must write what ``repr`` writes, also when the rows are spelled a
+    few at a time and the slices take different spellings."""
     cells = _INTEGRAL | st.sampled_from(_EDGE_REALS)
     if data.draw(st.booleans()):
         cells = cells | st.floats()
@@ -199,7 +202,9 @@ def test_format_matrix_spells_reals_as_repr(data):
     values = np.array(data.draw(st.lists(
         st.lists(cells, min_size=n_cols, max_size=n_cols),
         min_size=n_rows, max_size=n_rows)), dtype=np.float64)
-    assert format_matrix(DenseMatrix(values)) == _repr_rows(values)
+    spell_cells = data.draw(st.sampled_from([1, 7, rowstream.writer._SPELL_CELLS]))
+    with mock.patch.object(rowstream.writer, "_SPELL_CELLS", spell_cells):
+        assert format_matrix(DenseMatrix(values)) == _repr_rows(values)
 
 
 @pytest.mark.parametrize("x", _EDGE_REALS)
