@@ -13,10 +13,12 @@ starts, not with this module, so a run that starts none does not pay for
 it; ``ProcessPoolExecutor`` is still looked up on this module, where a test
 may replace it.  A pool never has more workers than the input has windows
 when the input's size is known: bytes, or a regular file given by path or by
-an open handle.  Split mode needs such a file.  Every mode reads an open
-handle from where it stands.  The sequential and pipeline modes also take an
-iterable of chunk payloads, record-aligned ``bytes`` the caller has already
-cut, and apply the function to each as a chunk.
+an open handle.  Where that leaves one worker, the pooled modes run the
+function in-process and start no pool.  Split mode needs such a file.
+Every mode reads an open handle from where it stands.  The sequential and
+pipeline modes also take an iterable of chunk payloads, record-aligned
+``bytes`` the caller has already cut, and apply the function to each as a
+chunk.
 
 ``iter_apply`` yields the results lazily, in chunk order, each as soon as it
 and every result before it are done; ``chunk_apply`` is its list.
@@ -34,8 +36,10 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterator, Optional
 
 from .chunker import Chunk, ChunkerConfig, _raw_chunks, iter_chunks
@@ -50,8 +54,8 @@ MODES = ("sequential", "pipeline", "split")
 class ApplyConfig:
     """Execution strategy for chunk_apply.
 
-    ``parallel`` bounds in-flight computations; pipeline with parallel=1
-    degenerates to sequential plus a one-chunk prefetch.
+    ``parallel`` bounds in-flight computations; a pooled mode left with one
+    worker runs the function in-process.
     """
 
     mode: str = "sequential"
@@ -134,12 +138,24 @@ def _run_sequential(chunks, f, on_event=_no_event):
         yield result
 
 
+class _NoPool:
+    """Stands in for a pool of one worker, which would cost more to start
+    than it wins back: a submitted call runs when its result is read."""
+
+    def submit(self, f, *args):
+        return SimpleNamespace(result=partial(f, *args))
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
 def _run_pipeline(source, f, cfg: ApplyConfig, on_event):
     """Read a chunk, collect the oldest computation if ``parallel`` are in
     flight, then dispatch before yielding what was collected; so the next
     read, and the caller's use of a result, overlap the running work."""
     inflight = deque()
-    pool = _start_pool(_pool_size(_extent(source)[2], cfg))
+    workers = _pool_size(_extent(source)[2], cfg)
+    pool = _start_pool(workers) if workers > 1 else _NoPool()
 
     def collect():
         seq, future = inflight.popleft()
@@ -194,6 +210,9 @@ def _run_split(source, f, cfg: ApplyConfig):
         return
     n_windows = -(-size // cfg.chunker.target_bytes)
     n_workers = _pool_size(size, cfg)
+    if n_workers == 1:
+        yield from _split_worker(path, origin, 0, n_windows, cfg.chunker, f)
+        return
     per, extra = divmod(n_windows, n_workers)
     edges = [i * per + min(i, extra) for i in range(n_workers + 1)]
     done = 0

@@ -17,6 +17,9 @@ the worker count, and a failing chunk raises its own error.
 ``mm`` converts only the response and term columns: every other column is
 skipped once the schema is resolved, so its cells cost only tokenizing and,
 as before, never affect the checkpoint.  It parses its chunks in-process.
+
+Each command imports the modules only it uses when it runs, so ``mm``
+loads neither ``apply`` nor ``ols`` and ``fit`` no ``model_matrix``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from ._coerce import ColumnType
-from .apply import ApplyConfig, _extent, _pool_size, chunk_apply, iter_apply
 from .chunker import ChunkerConfig, iter_chunks
 from .errors import (
     DimensionMismatch,
@@ -55,21 +57,6 @@ from .frame import (
     parse_frame,
 )
 from .matrix import parse_matrix
-from .model_matrix import (
-    FactorTerm,
-    NumericTerm,
-    TermSpec,
-    expand,
-    normalize_hhmm_column,
-    spec_names,
-)
-from .ols import (
-    DEFAULT_RANK_TOL,
-    NormalEqAccumulator,
-    accumulate,
-    merge,
-    solve_ne,
-)
 from .writer import (
     append_to_checkpoint,
     format_frame,
@@ -230,10 +217,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parse_config(path, cfg: ChunkerConfig) -> ApplyConfig:
+def _parse_config(path, cfg: ChunkerConfig):
     """``parse`` pipelines its chunks over the usable CPUs, but no more than
     the input has windows, and runs in-process, with no pool, at one worker
     or on an input of unknown size such as a FIFO."""
+    from .apply import ApplyConfig, _extent, _pool_size
+
     size = _extent(path)[2]
     workers = 1 if size is None else _pool_size(
         size, ApplyConfig(parallel=_usable_cpus(), chunker=cfg))
@@ -255,6 +244,8 @@ def _write_parsed(sink, schema, chunks, header, strict, cfg) -> ParseReport:
     """Parse and re-serialize ``chunks`` into ``sink``, the header (if any)
     first, in chunk order; return their merged report.  A chunk that fails
     raises its own error."""
+    from .apply import iter_apply
+
     total = ParseReport()
     results = iter_apply(
         chunks, partial(_parse_chunk, schema=schema, strict=strict), cfg)
@@ -312,6 +303,8 @@ def cmd_parse(args) -> int:
 
 
 def _build_terms(raw):
+    from .model_matrix import FactorTerm, NumericTerm
+
     terms = []
     hhmm_cols = []
     for kind, value in raw:
@@ -346,6 +339,9 @@ def _refuse_unfinished(checkpoint) -> Path:
 
 
 def cmd_mm(args) -> int:
+    from .model_matrix import (TermSpec, expand, normalize_hhmm_column,
+                               spec_names)
+
     marker = _refuse_unfinished(args.out)
     cfg = _default_chunker()
     sep = _sep_bytes(args.sep)
@@ -401,6 +397,8 @@ def cmd_mm(args) -> int:
 
 
 def _fit_chunk(data: bytes, n_cols: int, resp_idx: int):
+    from .ols import NormalEqAccumulator, accumulate
+
     matrix, failures = parse_matrix(data, ColumnType.REAL)
     acc = NormalEqAccumulator(n_cols - 1)
     if matrix.n_rows:
@@ -415,6 +413,9 @@ def _fit_chunk(data: bytes, n_cols: int, resp_idx: int):
 
 
 def cmd_fit(args) -> int:
+    from .apply import ApplyConfig, chunk_apply
+    from .ols import DEFAULT_RANK_TOL, NormalEqAccumulator, merge, solve_ne
+
     _refuse_unfinished(args.checkpoint)
     names = read_sidecar(args.checkpoint)
     if args.response not in names:
@@ -440,7 +441,8 @@ def cmd_fit(args) -> int:
     for part, fails in pieces:
         acc = merge(acc, part)
         failures += fails
-    fit = solve_ne(acc, x_names, rank_tol=args.rank_tol)
+    rank_tol = DEFAULT_RANK_TOL if args.rank_tol is None else args.rank_tol
+    fit = solve_ne(acc, x_names, rank_tol=rank_tol)
     elapsed = time.perf_counter() - started
     width = max(len(n) for n in x_names)
     out = sys.stdout
@@ -507,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--mode", choices=("seq", "pipeline", "split"),
                    default="seq")
-    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
+    p.add_argument("--rank-tol", type=float)  # None: ols.DEFAULT_RANK_TOL
     p.set_defaults(func=cmd_fit)
 
     return parser

@@ -447,7 +447,8 @@ def _build_frame(chunk: bytes, schema: Schema):
         starts, ends, counts = offsets
 
         def fields(k, j):
-            return _gather(chunk, starts[:, k], ends[:, k]), None
+            s, e = starts[:, k], ends[:, k]
+            return _gather(chunk, s, e), None, e - s
     else:
         rows, qrows = tokenize(chunk, schema.field_sep, schema.quote)
         counts = np.array([len(row) for row in rows], np.intp)
@@ -456,15 +457,16 @@ def _build_frame(chunk: bytes, schema: Schema):
             # a short record's missing fields are empty and unquoted
             return ([row[j] if j < len(row) else b"" for row in rows],
                     None if qrows is None else
-                    [j < len(q) and q[j] for q in qrows])
+                    [j < len(q) and q[j] for q in qrows], None)
     bulk = b"\x00" not in chunk
     names = schema.out_names()
     columns = []
     failures = {}
     for k, j in enumerate(kept):
-        column, quoted = fields(k, j)
+        column, quoted, lengths = fields(k, j)
         ctype = schema.types[j]
-        values, mask, fails = convert_column(column, ctype, quoted, bulk)
+        values, mask, fails = convert_column(column, ctype, quoted, bulk,
+                                             lengths)
         columns.append(Column(names[k], ctype, values, mask))
         failures[names[k]] = fails
     report = ParseReport(len(counts), int(np.count_nonzero(counts < n_cols)),

@@ -82,8 +82,9 @@ def parse_matrix(chunk: bytes, elem_type: ColumnType, field_sep: bytes = b","):
         block = chunk[lo:hi]
         starts, ends, block_counts = _field_offsets(block, ncol, field_sep)
         ncol = starts.shape[1]
+        starts, ends = starts.ravel(), ends.ravel()
         values, _mask, fails = convert_column(
-            _gather(block, starts.ravel(), ends.ravel()), elem_type)
+            _gather(block, starts, ends), elem_type, lengths=ends - starts)
         if data is None:
             data = np.empty(n_rows * ncol, _dtype(values))
         data[pos:pos + len(values)] = values

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from ._coerce import ColumnType
+from ._coerce import INT64_MAX, INT64_MIN, ColumnType
 from .errors import MissingColumn, OutOfRange, SchemaError, UnknownLevel
 from .frame import Column, Frame
 from .matrix import DenseMatrix
@@ -150,15 +150,44 @@ def _numeric_values(col: Column, role: str) -> np.ndarray:
     return np.asarray(col.values, dtype=np.float64)
 
 
-def _factor_keys(col: Column) -> list:
-    if col.ctype is ColumnType.CHARACTER:
-        return ["" if v is None else v for v in col.values]
+def _integer_level(level: str):
+    """The int64 that ``str`` spells as ``level``, or None: ``07`` and
+    ``+7`` spell no Integer cell."""
+    try:
+        value = int(level)
+    except ValueError:
+        return None
+    if str(value) == level and INT64_MIN <= value <= INT64_MAX:
+        return value
+    return None
+
+
+def _factor_codes(col: Column, levels: tuple):
+    """``(codes, cells)``: each cell's index in ``levels``, or -1, found by
+    a binary search of the sorted levels, and the cells as searched.  An
+    Integer cell is the level ``str`` spells it as; a Character cell, held
+    as an object array so that no trailing NUL is stripped, the level it
+    equals, with None read as ``""``."""
     if col.ctype is ColumnType.INTEGER:
-        return [str(v) for v in col.values.tolist()]
-    raise SchemaError(
-        f"factor column {col.name!r} is {col.ctype.value}, "
-        "need integer or character"
-    )
+        cells = col.values
+        pairs = sorted((v, i) for i, level in enumerate(levels)
+                       if (v := _integer_level(level)) is not None)
+        keys = np.array([v for v, _ in pairs], np.int64)
+    elif col.ctype is ColumnType.CHARACTER:
+        cells = np.array(col.values, dtype=object)
+        cells[cells == None] = ""  # noqa: E711 -- elementwise
+        pairs = sorted((level, i) for i, level in enumerate(levels))
+        keys = np.array([v for v, _ in pairs], dtype=object)
+    else:
+        raise SchemaError(
+            f"factor column {col.name!r} is {col.ctype.value}, "
+            "need integer or character"
+        )
+    if not pairs:
+        return np.full(len(cells), -1), cells
+    pos = np.minimum(np.searchsorted(keys, cells), len(keys) - 1)
+    index = np.array([i for _, i in pairs])
+    return np.where(keys[pos] == cells, index[pos], -1), cells
 
 
 def expand(frame: Frame, spec: TermSpec, lenient_levels: bool = False):
@@ -175,40 +204,47 @@ def expand(frame: Frame, spec: TermSpec, lenient_levels: bool = False):
     """
     n = frame.n_rows
     resp = frame.column(spec.response)
-    resp_values = _numeric_values(resp, "response")
-    null = resp.mask | ~np.isfinite(resp_values)
-    blocks = [np.ones(n), resp_values]
+    columns = [_numeric_values(resp, "response")]
+    null = resp.mask | ~np.isfinite(columns[0])
     factors = []
     for term in spec.terms:
         col = frame.column(term.column)
         null |= col.mask
         if isinstance(term, NumericTerm):
-            values = _numeric_values(col, "numeric term")
-            null |= ~np.isfinite(values)
-            blocks.append(values)
+            columns.append(_numeric_values(col, "numeric term"))
+            null |= ~np.isfinite(columns[-1])
         else:
-            index = {level: i for i, level in enumerate(term.levels)}
-            code = np.fromiter(
-                (index.get(k, -1) for k in _factor_keys(col)), dtype=np.int64, count=n
-            )
-            blocks.append(code[:, None] == np.arange(1, len(term.levels)))
-            factors.append((term, code))
+            code, cells = _factor_codes(col, term.levels)
+            columns.append(code)
+            factors.append((term, code, cells))
     unknown = np.zeros(n, dtype=np.bool_)
-    for term, code in factors:
+    for term, code, cells in factors:
         bad = (code == -1) & ~null
         if bad.any():
             if not lenient_levels:
-                i = int(np.flatnonzero(bad)[0])
-                keys = _factor_keys(frame.column(term.column))
+                key = str(cells[np.flatnonzero(bad)[0]])
                 raise UnknownLevel(
-                    f"column {term.column!r}: {keys[i]!r} not in levels"
-                )
+                    f"column {term.column!r}: {key!r} not in levels")
             unknown |= bad
-    X = np.column_stack(blocks)[~(null | unknown)]
+    # the design is written straight into one block of the kept rows
+    keep = np.flatnonzero(~(null | unknown))
+    names = spec_names(spec)
+    X = np.empty((len(keep), len(names)))
+    X[:, 0] = 1.0
+    j = 1
+    for term, values in zip((None,) + spec.terms, columns):
+        values = values[keep]
+        if isinstance(term, FactorTerm):
+            width = len(term.levels) - 1
+            X[:, j:j + width] = values[:, None] == np.arange(1, width + 1)
+        else:
+            width = 1
+            X[:, j] = values
+        j += width
     report = ExpandReport(
         n_input=n,
         n_rows=len(X),
         n_dropped_null=int(null.sum()),
         n_dropped_unknown=int(unknown.sum()),
     )
-    return DenseMatrix(X, col_names=spec_names(spec)), report
+    return DenseMatrix(X, col_names=names), report

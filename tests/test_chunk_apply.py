@@ -347,7 +347,7 @@ def test_pool_never_outnumbers_windows(tmp_path, monkeypatch, mode):
         assert chunk_apply(fh, count_records, cfg(mode, 4)) == [2]
     path.write_bytes(b"".join(b"%d\n" % i for i in range(30)))  # 3 windows
     assert sum(chunk_apply(path, count_records, cfg(mode, 4))) == 30
-    assert RecordingPool.sizes == [1, 1, 3]
+    assert RecordingPool.sizes == [3]  # one window runs in-process
     if mode == "pipeline":
         # a plain stream's size is unknown, so the pool takes ``parallel``
         stream = io.BytesIO(b"a\nb\n")
@@ -356,7 +356,7 @@ def test_pool_never_outnumbers_windows(tmp_path, monkeypatch, mode):
         # nor is a device's, though it reports size 0
         with pytest.raises(RecordTooLarge):
             chunk_apply("/dev/zero", count_records, cfg(mode, 2))
-        assert RecordingPool.sizes == [1, 1, 3, 2, 1, 2]
+        assert RecordingPool.sizes == [3, 2, 2]
 
 
 @pytest.mark.parametrize("mode", ["sequential", "pipeline"])

@@ -307,6 +307,52 @@ def test_runs_that_start_no_pool_do_not_import_one(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+_COMMON_MODULES = {"_coerce", "chunker", "cli", "errors", "frame", "matrix",
+                   "writer"}
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    # every rowstream module a process imports is compiled, unless its
+    # bytecode is cached, so what a command does not run it should not load
+    src, ckpt = tmp_path / "toy.csv", tmp_path / "toy.mm"
+    write_toy_input(src)
+    commands = {
+        "parse": (["parse", str(src), "--header", "--schema", "infer",
+                   "--out", str(tmp_path / "p.csv")], {"apply"}),
+        "mm": (["mm", str(src), "--header", "--numeric", "x",
+                "--factor", "g=a,b", "--response", "y", "--out", str(ckpt)],
+               {"model_matrix"}),
+        "fit": (["fit", str(ckpt), "--response", "y"], {"apply", "ols"}),
+    }
+    for name, (argv, own) in commands.items():
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "rowstream", *argv],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rsplit("|", 1)[1].strip().split(".", 1)[1]
+                  for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")
+                  and line.rsplit("|", 1)[1].strip().startswith("rowstream.")}
+        assert loaded == _COMMON_MODULES | own, name
+
+
+@pytest.mark.parametrize("mode", ["pipeline", "split"])
+def test_fit_of_one_window_starts_no_pool(tmp_path, capsysbinary,
+                                          monkeypatch, mode):
+    src, ckpt = tmp_path / "toy.csv", tmp_path / "toy.mm"
+    write_toy_input(src)
+    assert run(["mm", str(src), "--header", "--numeric", "x", "--factor",
+                "g=a,b", "--response", "y", "--out", str(ckpt)],
+               capsysbinary)[0] == 0
+    seq = run(["fit", str(ckpt), "--response", "y"], capsysbinary)
+    monkeypatch.setattr(rowstream.apply, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    got = run(["fit", str(ckpt), "--response", "y", "--mode", mode,
+               "--parallel", "2"], capsysbinary)
+    assert got[:2] == seq[:2] and got[0] == 0
+    assert RecordingPool.sizes == []
+
+
 def test_parse_missing_file_exit_one(capsysbinary):
     code, _, err = run(["parse", "/no/such/file.csv", "--schema", "i"],
                        capsysbinary)

@@ -266,7 +266,7 @@ def test_airline_mm_converts_only_model_columns(tmp_path, monkeypatch):
         return expand(frame, *rest, **kwargs)
 
     monkeypatch.setattr(rowstream.frame, "convert_column", counting_convert)
-    monkeypatch.setattr("rowstream.cli.expand", recording_expand)
+    monkeypatch.setattr("rowstream.model_matrix.expand", recording_expand)
     code, err = _run_mm(
         ["mm", str(src), "--header", "--factor", "DayOfWeek=1,2,3,4,5,6,7",
          "--hhmm", "DepTime", "--numeric", "DepDelay", "--response", "ArrDelay",

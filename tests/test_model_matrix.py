@@ -378,3 +378,50 @@ def test_expand_matches_row_oracle(data, n, n_terms, lenient):
     assert matrix.values.tobytes() == X.tobytes()
     assert list(matrix.col_names) == names
     assert got == report
+
+
+_INT_LEVELS = ["1", "2", "-1", "-12", "07", "-0", "0", "+3", " 4", "1_0", "x",
+               str(2**63 - 1), str(-2**63), str(2**63)]
+_CHAR_LEVELS = ["a", "b", "", "NA", "a\x00", "ab", "é", "07"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), lenient=st.booleans(),
+       integer=st.booleans())
+def test_factor_search_matches_the_dict_codes(data, n, lenient, integer):
+    """Factor cells are coded by a binary search of the sorted levels; the
+    codes must be those of looking each cell's key up in a dict of the
+    levels: ``str`` of an Integer cell, so ``07`` and ``-0`` match nothing,
+    and a Character cell as it is, trailing NUL included."""
+    pool = _INT_LEVELS if integer else _CHAR_LEVELS
+    levels = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=6, unique=True))
+    mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if integer:
+        cells = st.integers(-13, 13) | st.sampled_from([2**63 - 1, -2**63])
+        values = data.draw(st.lists(cells, min_size=n, max_size=n))
+        factor = col("g", ColumnType.INTEGER, values, mask)
+        keys = [str(v) for v in values]
+    else:
+        values = data.draw(st.lists(st.sampled_from(_CHAR_LEVELS + ["zz"]),
+                                    min_size=n, max_size=n))
+        values = [None if m else v for v, m in zip(values, mask)]
+        factor = col("g", ColumnType.CHARACTER, values, mask)
+        keys = ["" if v is None else v for v in values]
+    index = {level: i for i, level in enumerate(levels)}
+    codes = [index.get(k, -1) for k in keys]
+    frame = Frame([col("y", ColumnType.REAL, [1.0] * n), factor])
+    spec = TermSpec("y", (FactorTerm("g", tuple(levels)),))
+    expected = _oracle_expand(frame, spec, lenient)
+    if isinstance(expected, str):
+        with pytest.raises(UnknownLevel) as err:
+            expand(frame, spec, lenient_levels=lenient)
+        assert str(err.value) == expected
+        return
+    live = [c for c, m in zip(codes, mask) if not m and c != -1]
+    want = np.array([[c == j for j in range(1, len(levels))] for c in live],
+                    np.float64).reshape(len(live), len(levels) - 1)
+    matrix, report = expand(frame, spec, lenient_levels=lenient)
+    assert matrix.values.tobytes() == expected[0].tobytes()
+    assert matrix.values[:, 2:].tobytes() == want.tobytes()
+    assert report == expected[2]
