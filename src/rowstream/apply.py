@@ -80,8 +80,27 @@ def __getattr__(name):
 
 
 def _start_pool(workers: int):
+    if workers == 1:
+        return _NoPool()
     # through the module, so that a patched ProcessPoolExecutor is used
     return sys.modules[__name__].ProcessPoolExecutor(workers)
+
+
+class _NoPool:
+    """Stands in for a pool of one worker, which would cost more to start
+    than it wins back: a submitted call runs when its result is read."""
+
+    def submit(self, f, *args):
+        return SimpleNamespace(result=partial(f, *args))
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
 
 
 def _extent(source):
@@ -138,24 +157,12 @@ def _run_sequential(chunks, f, on_event=_no_event):
         yield result
 
 
-class _NoPool:
-    """Stands in for a pool of one worker, which would cost more to start
-    than it wins back: a submitted call runs when its result is read."""
-
-    def submit(self, f, *args):
-        return SimpleNamespace(result=partial(f, *args))
-
-    def shutdown(self, cancel_futures=False):
-        pass
-
-
 def _run_pipeline(source, f, cfg: ApplyConfig, on_event):
     """Read a chunk, collect the oldest computation if ``parallel`` are in
     flight, then dispatch before yielding what was collected; so the next
     read, and the caller's use of a result, overlap the running work."""
     inflight = deque()
-    workers = _pool_size(_extent(source)[2], cfg)
-    pool = _start_pool(workers) if workers > 1 else _NoPool()
+    pool = _start_pool(_pool_size(_extent(source)[2], cfg))
 
     def collect():
         seq, future = inflight.popleft()
@@ -210,9 +217,6 @@ def _run_split(source, f, cfg: ApplyConfig):
         return
     n_windows = -(-size // cfg.chunker.target_bytes)
     n_workers = _pool_size(size, cfg)
-    if n_workers == 1:
-        yield from _split_worker(path, origin, 0, n_windows, cfg.chunker, f)
-        return
     per, extra = divmod(n_windows, n_workers)
     edges = [i * per + min(i, extra) for i in range(n_workers + 1)]
     done = 0

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import itertools
 import multiprocessing
@@ -334,6 +335,22 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
                   if line.startswith("import time:")
                   and line.rsplit("|", 1)[1].strip().startswith("rowstream.")}
         assert loaded == _COMMON_MODULES | own, name
+
+
+def test_only_the_command_freezes_the_heap(tmp_path, capsysbinary):
+    # a frozen heap is never collected: right for a process that ends with
+    # its command, wrong for a caller of cli.main
+    src = tmp_path / "a.csv"
+    src.write_bytes(b"1\n")
+    argv = ["parse", str(src), "--schema", "i", "--out", str(tmp_path / "o")]
+    assert run(argv, capsysbinary)[0] == 0
+    assert gc.get_freeze_count() == 0
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "runpy.run_module('rowstream', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "True\n"
 
 
 @pytest.mark.parametrize("mode", ["pipeline", "split"])
