@@ -175,7 +175,7 @@ def _factor_codes(col: Column, levels: tuple):
         keys = np.array([v for v, _ in pairs], np.int64)
     elif col.ctype is ColumnType.CHARACTER:
         cells = np.array(col.values, dtype=object)
-        cells[cells == None] = ""  # noqa: E711 -- elementwise
+        cells[np.equal(cells, None)] = ""
         pairs = sorted((level, i) for i, level in enumerate(levels))
         keys = np.array([v for v, _ in pairs], dtype=object)
     else:
