@@ -1,10 +1,10 @@
 import hashlib
 import io
-import multiprocessing
+import os
 import pickle
+import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -53,6 +53,37 @@ def sleepy_reverse(data: bytes) -> int:
     # later chunks finish first; collection order must not care
     time.sleep(max(0.0, 0.06 - 0.02 * (data[0] - 0x30)))
     return len(data)
+
+
+def die_on_marker(data: bytes) -> int:
+    if b"KILL" in data:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return len(data)
+
+
+def sleep_on_marker(data: bytes) -> int:
+    if b"SLEEP" in data:
+        time.sleep(10)
+    return len(data)
+
+
+# pickled by name, which a lambda lacks
+unpicklable = lambda data: len(data)  # noqa: E731
+
+
+def fail_unpicklably(data: bytes) -> int:
+    raise ValueError(unpicklable)
+
+
+class Unloadable(Exception):
+    """Pickles, but cannot be rebuilt from the arguments it pickles."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def fail_unloadably(data: bytes) -> int:
+    raise Unloadable(1, 2)
 
 
 def cfg(mode, parallel=1, target=32):
@@ -328,17 +359,27 @@ def test_config_validation():
         ApplyConfig(parallel=0)
 
 
-class RecordingPool(ProcessPoolExecutor):
+class RecordingPool(rowstream.apply._ForkPool):
     sizes = []
 
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers)
+    def __init__(self, workers):
+        RecordingPool.sizes.append(workers)
+        super().__init__(workers)
+
+
+def children_left() -> bool:
+    """Whether this process has a child, running or not yet reaped; it
+    reaps none of them."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("mode", ["pipeline", "split"])
 def test_pool_never_outnumbers_windows(tmp_path, monkeypatch, mode):
-    monkeypatch.setattr(rowstream.apply, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(rowstream.apply, "_ForkPool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     path = tmp_path / "one.txt"
     path.write_bytes(b"a\nb\n")  # 4 bytes: one window at target 32
@@ -387,7 +428,7 @@ def test_iter_apply_yields_before_the_source_ends():
     assert pulled == [0, 1, 2]
     assert events[-2:] == [("collect", 0), ("dispatch", 2)]
     results.close()
-    assert multiprocessing.active_children() == []
+    assert not children_left()
 
 
 @pytest.mark.parametrize("mode,parallel", [("sequential", 1), ("pipeline", 2),
@@ -406,4 +447,112 @@ def test_failed_chunk_before_a_failed_read_comes_first(tmp_path, mode,
     assert next(results) == 4
     with pytest.raises(RecordTooLarge):
         next(results)
-    assert multiprocessing.active_children() == []
+    assert not children_left()
+
+
+def test_a_killed_worker_fails_its_chunk(tmp_path):
+    # a worker killed by a signal or the OOM killer ends its reply pipe;
+    # fixed-width records, two per chunk, four chunks
+    rows = [b"row%02d\n" % i for i in range(8)]
+    rows[5] = b"KILL!\n"
+    path = tmp_path / "kill.txt"
+    path.write_bytes(b"".join(rows))
+    with pytest.raises(WorkerFailure) as info:
+        chunk_apply(path, die_on_marker, cfg("pipeline", 2, 12))
+    assert info.value.seq == 2
+    assert isinstance(info.value.cause, ChildProcessError)
+    assert str(info.value.cause).endswith(f"exit status {-signal.SIGKILL}")
+    # split's workers number their own chunks, so the master knows no seq
+    with pytest.raises(ChildProcessError):
+        chunk_apply(path, die_on_marker, cfg("split", 2, 12))
+    assert not children_left()
+
+
+@pytest.mark.parametrize("mode", ["pipeline", "split"])
+def test_an_unpicklable_function_fails_its_call(tmp_path, mode):
+    path = tmp_path / "three.txt"
+    path.write_bytes(b"".join(b"%d\n" % i for i in range(30)))  # 3 windows
+    if mode == "pipeline":
+        with pytest.raises(WorkerFailure) as info:
+            chunk_apply(path, unpicklable, cfg(mode, 2))
+        assert info.value.seq == 0
+        assert isinstance(info.value.cause, pickle.PicklingError)
+    else:
+        with pytest.raises(pickle.PicklingError):
+            chunk_apply(path, unpicklable, cfg(mode, 2))
+    assert not children_left()
+
+
+@pytest.mark.parametrize("mode", ["pipeline", "split"])
+def test_a_failure_that_cannot_cross_still_reaches_the_master(tmp_path, mode):
+    # one failure cannot be pickled by the worker, the other cannot be
+    # unpickled by the master; either way the call fails with that error
+    path = tmp_path / "three.txt"
+    path.write_bytes(b"".join(b"%d\n" % i for i in range(30)))  # 3 windows
+    for f, error in ((fail_unpicklably, pickle.PicklingError),
+                     (fail_unloadably, TypeError)):
+        if mode == "pipeline":
+            with pytest.raises(WorkerFailure) as info:
+                chunk_apply(path, f, cfg(mode, 2))
+            assert info.value.seq == 0
+            assert isinstance(info.value.cause, error)
+        else:
+            # a split worker's failure is a WorkerFailure holding f's error
+            with pytest.raises(error):
+                chunk_apply(path, f, cfg(mode, 2))
+    assert not children_left()
+
+
+@pytest.mark.parametrize("mode,marked", [("pipeline", 1), ("split", 3)])
+def test_closing_does_not_wait_for_abandoned_work(tmp_path, mode, marked):
+    # one record per chunk; when the first result is yielded, the marked
+    # chunk is in flight
+    rows = [b"%07d\n" % i for i in range(4)]
+    rows[marked] = b"SLEEP!!\n"
+    path = tmp_path / "sleep.txt"
+    path.write_bytes(b"".join(rows))
+    results = iter_apply(path, sleep_on_marker, cfg(mode, 2, 8))
+    assert next(results) == 8
+    started = time.monotonic()
+    results.close()
+    assert time.monotonic() - started < 5
+    assert not children_left()
+
+
+def test_a_pool_of_many_workers_shuts_down(tmp_path):
+    # each worker closes the pipe ends the master holds for the workers
+    # forked before it, so that closing a call pipe is an EOF to its worker
+    path = tmp_path / "many.txt"
+    path.write_bytes(b"".join(b"%d\n" % i for i in range(200)))
+    got = []
+
+    def run():
+        for mode in ("pipeline", "split"):
+            got.append(sum(chunk_apply(path, count_records, cfg(mode, 5))))
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive()
+    assert got == [200, 200]
+    assert not children_left()
+
+
+def test_a_worker_holds_one_call_at_most():
+    # a worker's unread reply is read before it is sent another call; were
+    # it not, the master would block writing a call the worker cannot read
+    # while the worker blocks writing a reply the master does not read
+    big = b"x" * (1 << 20)  # more than a pipe holds
+    got = []
+
+    def run():
+        with rowstream.apply._ForkPool(2) as pool:
+            calls = [pool.submit(identity, big) for _ in range(4)]
+            got.extend(len(call.result()) for call in calls)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive()
+    assert got == [len(big)] * 4
+    assert not children_left()

@@ -2,8 +2,10 @@ import contextlib
 import gc
 import io
 import itertools
-import multiprocessing
+import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -17,13 +19,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import AIRLINE_HEADER, airline_csv
-from test_chunk_apply import RecordingPool
+from test_chunk_apply import RecordingPool, children_left
 
 import rowstream.apply
 import rowstream.cli
 from rowstream import ChunkerConfig, read_sidecar, write_sidecar
-from rowstream.cli import main
+from rowstream.cli import _parse_chunk, main
 from rowstream.frame import _SAMPLE_RECORDS
+
+
+def parse_chunk_or_die(data: bytes, schema, strict):
+    if b"KILL" in data:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _parse_chunk(data, schema, strict)
 
 
 def run(argv, capsysbinary):
@@ -65,7 +73,7 @@ def test_failed_parse_leaves_out_path_as_it_was(tmp_path, capsysbinary,
     # at a 4-byte target the failing record is a chunk of its own, which two
     # usable CPUs send to a worker process
     monkeypatch.setenv("CHUNK_TARGET_BYTES", "4")
-    monkeypatch.setattr(rowstream.apply, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(rowstream.apply, "_ForkPool", RecordingPool)
     for workers in (1, 2):
         monkeypatch.setattr(rowstream.cli, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(RecordingPool, "sizes", [])
@@ -99,7 +107,24 @@ def test_failed_parse_leaves_out_path_as_it_was(tmp_path, capsysbinary,
         assert sorted(p.name for p in tmp.iterdir()) == [
             "cr.csv", "link.csv", "o.csv"]
         assert RecordingPool.sizes == ([2] * 3 if workers == 2 else [])
-        assert multiprocessing.active_children() == []
+        assert not children_left()
+
+
+def test_parse_whose_worker_dies_exits_one(tmp_path, capsysbinary,
+                                           monkeypatch):
+    monkeypatch.setenv("CHUNK_TARGET_BYTES", "4")
+    monkeypatch.setattr(rowstream.cli, "_usable_cpus", lambda: 2)
+    # the workers are forked after the patch, so they run it
+    monkeypatch.setattr(rowstream.cli, "_parse_chunk", parse_chunk_or_die)
+    src, dst = tmp_path / "in.csv", tmp_path / "o.csv"
+    src.write_bytes(b"a\nb\nKILL\nc\n")
+    code, out, err = run(["parse", str(src), "--schema", "c",
+                          "--out", str(dst)], capsysbinary)
+    assert (code, out) == (1, b"")
+    assert re.fullmatch(r"error: worker process \d+ died with exit status "
+                        rf"{-signal.SIGKILL}\n", err), err
+    assert not dst.exists()
+    assert not children_left()
 
 
 def test_parse_infer_reports_types(tmp_path, capsysbinary):
@@ -233,7 +258,7 @@ def test_parse_strict_exit_two(tmp_path, capsysbinary, monkeypatch):
         assert code == 2
         assert err == "error: 1 coercion failures\n"
         assert dst.read_bytes() == b"keep\n"
-        assert multiprocessing.active_children() == []
+        assert not children_left()
 
 
 def test_parse_first_chunk_errors_keep_their_order(tmp_path, capsysbinary,
@@ -256,7 +281,7 @@ def test_parse_first_chunk_errors_keep_their_order(tmp_path, capsysbinary,
 def test_parse_starts_no_pool_for_one_window_one_cpu_or_a_fifo(
         tmp_path, capsysbinary, monkeypatch):
     # a pool costs start-up time that one worker cannot win back
-    monkeypatch.setattr(rowstream.apply, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(rowstream.apply, "_ForkPool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setenv("CHUNK_TARGET_BYTES", "8")
     one, three = b"n,s\n1,a\n", b"n,s\n1,a\n2,b\n3,c\n4,d\n"
@@ -306,6 +331,31 @@ def test_runs_that_start_no_pool_do_not_import_one(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(src)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_pooled_runs_import_no_pool_library(tmp_path):
+    # the pool is forked workers over pipes; each pooled run forks two
+    src, ckpt = tmp_path / "toy.csv", tmp_path / "toy.mm"
+    write_toy_input(src)
+    runs = [["parse", str(src), "--header", "--schema", "infer",
+             "--out", str(tmp_path / "p.csv")],
+            ["mm", str(src), "--header", "--numeric", "x", "--factor",
+             "g=a,b", "--response", "y", "--out", str(ckpt)]]
+    runs += [["fit", str(ckpt), "--response", "y", "--mode", mode,
+              "--parallel", "2"] for mode in ("pipeline", "split")]
+    code = (
+        "import json, os, sys, rowstream.cli\n"
+        "forks = []\n"
+        "os.register_at_fork(after_in_parent=lambda: forks.append(1))\n"
+        "rowstream.cli._usable_cpus = lambda: 2\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert rowstream.cli.main(argv) == 0\n"
+        "print(len(forks), sorted({'concurrent.futures', 'multiprocessing'}"
+        " & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "CHUNK_TARGET_BYTES": "16"})
+    assert proc.stdout.splitlines()[-1] == "6 []"
 
 
 _COMMON_MODULES = {"_coerce", "chunker", "cli", "errors", "frame", "matrix",
@@ -362,7 +412,7 @@ def test_fit_of_one_window_starts_no_pool(tmp_path, capsysbinary,
                 "g=a,b", "--response", "y", "--out", str(ckpt)],
                capsysbinary)[0] == 0
     seq = run(["fit", str(ckpt), "--response", "y"], capsysbinary)
-    monkeypatch.setattr(rowstream.apply, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(rowstream.apply, "_ForkPool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     got = run(["fit", str(ckpt), "--response", "y", "--mode", mode,
                "--parallel", "2"], capsysbinary)
