@@ -35,7 +35,6 @@ their own reading, emits none.
 from __future__ import annotations
 
 import os
-import pickle
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -72,7 +71,12 @@ class ApplyConfig:
 
 
 def _start_pool(workers: int):
-    return _NoPool() if workers == 1 else _ForkPool(workers)
+    if workers == 1:
+        return _NoPool()
+    # compiled only by the runs that start a pool
+    from ._forkpool import ForkPool
+
+    return ForkPool(workers)
 
 
 class _NoPool:
@@ -90,170 +94,6 @@ class _NoPool:
 
     def __exit__(self, *exc):
         pass
-
-
-def _send(fd, data):
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read(fd, size):
-    """``size`` bytes from ``fd``, or None if it ends first."""
-    buf, got = bytearray(size), 0
-    while got < size:
-        n = os.readv(fd, [memoryview(buf)[got:]])
-        if n == 0:
-            return None
-        got += n
-    return buf
-
-
-def _recv(fd):
-    """The next message on ``fd``, or None if its writer is gone."""
-    head = _read(fd, 8)
-    return head and _read(fd, int.from_bytes(head, "little"))
-
-
-def _serve(calls, replies):
-    """A worker's loop: answer each ``(f, args)`` on ``calls`` with ``(ok,
-    value)`` on ``replies``, until ``calls`` ends."""
-    while (call := _recv(calls)) is not None:
-        try:
-            f, args = pickle.loads(call)
-            reply = True, f(*args)
-        except Exception as exc:
-            reply = False, exc
-        try:
-            reply = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            reply = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
-        _send(replies, reply)
-
-
-class _Worker:
-    """A forked worker as the master sees it: its pid and its pipe ends."""
-
-    def __init__(self, pid, calls, replies):
-        self.pid, self.calls, self.replies = pid, calls, replies
-        self.unread = None  # the call whose reply is still in the pipe
-        self.status = None  # the exit status, once reaped
-
-    def receive(self):
-        self.unread = None
-        reply = _recv(self.replies)
-        if reply is None:
-            # killed, by a signal or the OOM killer, or exited
-            if self.status is None:
-                self.status = os.waitstatus_to_exitcode(
-                    os.waitpid(self.pid, 0)[1])
-            return False, ChildProcessError(
-                f"worker process {self.pid} died with exit status "
-                f"{self.status}")
-        return pickle.loads(reply)
-
-
-class _Call:
-    """A submitted call: its reply is read when its result is asked for,
-    or before its worker is given another call."""
-
-    def __init__(self, worker=None, reply=None):
-        self.worker, self.reply = worker, reply
-
-    def read(self):
-        if self.reply is None:
-            self.reply = self.worker.receive()
-
-    def result(self):
-        self.read()
-        ok, value = self.reply
-        if not ok:
-            raise value
-        return value
-
-
-class _ForkPool:
-    """``workers`` forked processes, each with a pipe that brings it calls
-    and one that takes back their replies, as length-prefixed pickles.
-    Call k goes to worker k mod ``workers``, which holds one call at most,
-    so neither end blocks on a full pipe."""
-
-    def __init__(self, workers: int):
-        self._workers = []
-        self._calls = 0
-        try:
-            for _ in range(workers):
-                self._fork()
-        except BaseException:
-            self.shutdown(cancel_futures=True)
-            raise
-
-    def _fork(self):
-        calls, to_worker = os.pipe()
-        from_worker, replies = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (calls, to_worker, from_worker, replies):
-                os.close(fd)
-            raise
-        if pid == 0:
-            # whatever ends the worker (EOF, a broken pipe or another
-            # exception) ends its process here: it never unwinds into the
-            # master's stack, flushes the master's buffers or prints a
-            # traceback
-            status = 1
-            try:
-                # an end left open here would keep its pipe from seeing EOF
-                for fd in [to_worker, from_worker, *(
-                        fd for w in self._workers
-                        for fd in (w.calls, w.replies))]:
-                    os.close(fd)
-                _serve(calls, replies)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(calls)
-        os.close(replies)
-        self._workers.append(_Worker(pid, to_worker, from_worker))
-
-    def submit(self, f, *args):
-        try:
-            call = pickle.dumps((f, args), pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            return _Call(reply=(False, exc))
-        worker = self._workers[self._calls % len(self._workers)]
-        self._calls += 1
-        if worker.unread is not None:
-            worker.unread.read()
-        try:
-            _send(worker.calls, call)
-        except BrokenPipeError:
-            pass  # the worker is gone, which its reply pipe reports
-        worker.unread = _Call(worker)
-        return worker.unread
-
-    def shutdown(self, cancel_futures=False):
-        """End every worker and reap it.  With ``cancel_futures``, a worker
-        whose reply is unread is killed, not waited for."""
-        from signal import SIGKILL  # not imported by a run with no pool
-
-        for w in self._workers:
-            if cancel_futures and w.unread is not None and w.status is None:
-                os.kill(w.pid, SIGKILL)
-            os.close(w.calls)  # EOF ends an idle worker
-        for w in self._workers:
-            os.close(w.replies)  # and a broken pipe a busy one
-            if w.status is None:
-                os.waitpid(w.pid, 0)
-        self._workers = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        # the calls an early exit leaves unread are abandoned
-        self.shutdown(cancel_futures=True)
 
 
 def _extent(source):

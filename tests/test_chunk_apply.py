@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-import rowstream.apply
+import rowstream._forkpool
 from rowstream import (
     ApplyConfig,
     ChunkerConfig,
@@ -359,7 +359,7 @@ def test_config_validation():
         ApplyConfig(parallel=0)
 
 
-class RecordingPool(rowstream.apply._ForkPool):
+class RecordingPool(rowstream._forkpool.ForkPool):
     sizes = []
 
     def __init__(self, workers):
@@ -379,7 +379,7 @@ def children_left() -> bool:
 
 @pytest.mark.parametrize("mode", ["pipeline", "split"])
 def test_pool_never_outnumbers_windows(tmp_path, monkeypatch, mode):
-    monkeypatch.setattr(rowstream.apply, "_ForkPool", RecordingPool)
+    monkeypatch.setattr(rowstream._forkpool, "ForkPool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     path = tmp_path / "one.txt"
     path.write_bytes(b"a\nb\n")  # 4 bytes: one window at target 32
@@ -546,7 +546,7 @@ def test_a_worker_holds_one_call_at_most():
     got = []
 
     def run():
-        with rowstream.apply._ForkPool(2) as pool:
+        with rowstream._forkpool.ForkPool(2) as pool:
             calls = [pool.submit(identity, big) for _ in range(4)]
             got.extend(len(call.result()) for call in calls)
 

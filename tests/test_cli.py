@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from oracle import AIRLINE_HEADER, airline_csv
 from test_chunk_apply import RecordingPool, children_left
 
-import rowstream.apply
+import rowstream._forkpool
 import rowstream.cli
 from rowstream import ChunkerConfig, read_sidecar, write_sidecar
 from rowstream.cli import _parse_chunk, main
@@ -73,7 +73,7 @@ def test_failed_parse_leaves_out_path_as_it_was(tmp_path, capsysbinary,
     # at a 4-byte target the failing record is a chunk of its own, which two
     # usable CPUs send to a worker process
     monkeypatch.setenv("CHUNK_TARGET_BYTES", "4")
-    monkeypatch.setattr(rowstream.apply, "_ForkPool", RecordingPool)
+    monkeypatch.setattr(rowstream._forkpool, "ForkPool", RecordingPool)
     for workers in (1, 2):
         monkeypatch.setattr(rowstream.cli, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(RecordingPool, "sizes", [])
@@ -281,7 +281,7 @@ def test_parse_first_chunk_errors_keep_their_order(tmp_path, capsysbinary,
 def test_parse_starts_no_pool_for_one_window_one_cpu_or_a_fifo(
         tmp_path, capsysbinary, monkeypatch):
     # a pool costs start-up time that one worker cannot win back
-    monkeypatch.setattr(rowstream.apply, "_ForkPool", RecordingPool)
+    monkeypatch.setattr(rowstream._forkpool, "ForkPool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setenv("CHUNK_TARGET_BYTES", "8")
     one, three = b"n,s\n1,a\n", b"n,s\n1,a\n2,b\n3,c\n4,d\n"
@@ -412,7 +412,7 @@ def test_fit_of_one_window_starts_no_pool(tmp_path, capsysbinary,
                 "g=a,b", "--response", "y", "--out", str(ckpt)],
                capsysbinary)[0] == 0
     seq = run(["fit", str(ckpt), "--response", "y"], capsysbinary)
-    monkeypatch.setattr(rowstream.apply, "_ForkPool", RecordingPool)
+    monkeypatch.setattr(rowstream._forkpool, "ForkPool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     got = run(["fit", str(ckpt), "--response", "y", "--mode", mode,
                "--parallel", "2"], capsysbinary)
