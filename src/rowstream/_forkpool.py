@@ -61,6 +61,7 @@ class _Worker:
         self.status = None  # the exit status, once reaped
 
     def receive(self):
+        """The ``(ok, value)`` reply to the call this worker holds."""
         self.unread = None
         reply = _recv(self.replies)
         if reply is None:
