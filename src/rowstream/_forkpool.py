@@ -3,14 +3,26 @@
 Each worker is forked when the pool starts and talks to the master over two
 pipes, one for calls and one for replies, each message a length-prefixed
 pickle.  The master never gives a worker a second call before reading the
-reply to its first, so neither end can block on a full pipe.  Forking needs
-a POSIX system, and a worker starts as a copy of the master: it has every
-module the master had imported, as the master left it.
+reply to its first, so neither end can block on a full pipe.  A worker
+starts as a copy of the master: it has every module the master had imported,
+as the master left it.  Forking is safe on Linux; macOS is not supported,
+since a fork there is unsafe once system libraries have started threads.
 """
 
 import os
 import pickle
+import sys
 from signal import SIGKILL
+
+
+def _flush():
+    """Flush the std streams, so that a fork does not copy their buffers
+    and a worker's output is written before it is killed."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError, OSError):
+            pass
 
 
 def _send(fd, data):
@@ -49,6 +61,7 @@ def _serve(calls, replies):
             reply = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             reply = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        _flush()
         _send(replies, reply)
 
 
@@ -95,8 +108,9 @@ class _Call:
 
 
 class ForkPool:
-    """``workers`` forked processes, with ``submit`` and ``shutdown`` as in
-    ``concurrent.futures``.  Call k goes to worker k mod ``workers``."""
+    """``workers`` forked processes.  ``submit`` returns a call whose
+    ``result()`` reads its reply; call k goes to worker k mod ``workers``.
+    ``shutdown``, or leaving a ``with`` block, kills and reaps them all."""
 
     def __init__(self, workers: int):
         self._workers = []
@@ -105,12 +119,13 @@ class ForkPool:
             for _ in range(workers):
                 self._fork()
         except BaseException:
-            self.shutdown(cancel_futures=True)
+            self.shutdown()
             raise
 
     def _fork(self):
         calls, to_worker = os.pipe()
         from_worker, replies = os.pipe()
+        _flush()
         try:
             pid = os.fork()
         except OSError:
@@ -120,18 +135,17 @@ class ForkPool:
         if pid == 0:
             # whatever ends the worker (EOF, a broken pipe or another
             # exception) ends its process here: it never unwinds into the
-            # master's stack, flushes the master's buffers or prints a
-            # traceback
+            # master's stack or prints a traceback, and its buffers hold
+            # only its own output.  Closing the master's ends lets a master
+            # that dies unawares end its workers by EOF.
             status = 1
             try:
-                # an end left open here would keep its pipe from seeing EOF
-                for fd in [to_worker, from_worker, *(
-                        fd for w in self._workers
-                        for fd in (w.calls, w.replies))]:
-                    os.close(fd)
+                os.close(to_worker)
+                os.close(from_worker)
                 _serve(calls, replies)
                 status = 0
             finally:
+                _flush()
                 os._exit(status)
         os.close(calls)
         os.close(replies)
@@ -153,15 +167,16 @@ class ForkPool:
         worker.unread = _Call(worker)
         return worker.unread
 
-    def shutdown(self, cancel_futures=False):
-        """End every worker and reap it.  With ``cancel_futures``, a worker
-        whose reply is unread is killed, not waited for."""
+    def shutdown(self):
+        """Kill every worker and reap it.  An idle worker holds no work, and
+        a busy one's is abandoned; a kill does not wait, as an EOF on the
+        call pipe would, for every process forked since to let go of it."""
         for w in self._workers:
-            if cancel_futures and w.unread is not None and w.status is None:
+            if w.status is None:
                 os.kill(w.pid, SIGKILL)
-            os.close(w.calls)  # EOF ends an idle worker
+            os.close(w.calls)
+            os.close(w.replies)
         for w in self._workers:
-            os.close(w.replies)  # and a broken pipe a busy one
             if w.status is None:
                 os.waitpid(w.pid, 0)
         self._workers = []
@@ -170,5 +185,4 @@ class ForkPool:
         return self
 
     def __exit__(self, *exc):
-        # the calls an early exit leaves unread are abandoned
-        self.shutdown(cancel_futures=True)
+        self.shutdown()

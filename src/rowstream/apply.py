@@ -7,13 +7,15 @@ boundaries are identical in every mode — see chunker — so for a pure ``f``
 the three modes return element-wise identical result lists, in chunk order.
 
 The function receives the chunk's bytes.  The pooled modes run it in worker
-processes, forked with ``os.fork`` when the pool starts, so they need a POSIX
-system.  The master talks to each worker over a pipe each way, so ``f``, its
+processes, forked with ``os.fork`` when the pool starts; they are for Linux,
+as a fork on macOS is unsafe once system libraries have started threads.
+The master talks to each worker over a pipe each way, so ``f``, its
 arguments and its results must pickle: ``f`` is a module-level function or a
 functools.partial of one.  A worker that dies, killed by a signal or the OOM
-killer, fails its chunk with ChildProcessError.  A failure, or a caller that
-stops early, kills the workers still computing instead of waiting for their
-abandoned work.  A pool never has more workers than the input has windows
+killer, fails its chunk with ChildProcessError.  The workers are killed when
+the pool ends, so a failure, or a caller that stops early, does not wait for
+abandoned work; what ``f`` writes to the std streams is flushed before each
+result is sent.  A pool never has more workers than the input has windows
 when the input's size is known: bytes, or a regular file given by path or by
 an open handle.  Where that leaves one worker, the pooled modes run the
 function in-process and start no pool.  Split mode needs such a file.
@@ -86,7 +88,7 @@ class _NoPool:
     def submit(self, f, *args):
         return SimpleNamespace(result=partial(f, *args))
 
-    def shutdown(self, cancel_futures=False):
+    def shutdown(self):
         pass
 
     def __enter__(self):
@@ -189,7 +191,7 @@ def _run_pipeline(source, f, cfg: ApplyConfig, on_event):
             yield collect()
     finally:
         # a failure, or a caller that stops early, leaves work in flight
-        pool.shutdown(cancel_futures=True)
+        pool.shutdown()
 
 
 def _split_worker(path, origin, win_lo, win_hi, cfg: ChunkerConfig, f):

@@ -3,6 +3,8 @@ import io
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -520,8 +522,8 @@ def test_closing_does_not_wait_for_abandoned_work(tmp_path, mode, marked):
 
 
 def test_a_pool_of_many_workers_shuts_down(tmp_path):
-    # each worker closes the pipe ends the master holds for the workers
-    # forked before it, so that closing a call pipe is an EOF to its worker
+    # each worker is forked while the master holds the pipe ends of the
+    # workers forked before it
     path = tmp_path / "many.txt"
     path.write_bytes(b"".join(b"%d\n" % i for i in range(200)))
     got = []
@@ -536,6 +538,56 @@ def test_a_pool_of_many_workers_shuts_down(tmp_path):
     assert not runner.is_alive()
     assert got == [200, 200]
     assert not children_left()
+
+
+@pytest.mark.parametrize("first,second", [("pipeline", "pipeline"),
+                                          ("split", "pipeline")])
+def test_interleaved_pools_shut_down(tmp_path, first, second):
+    # the second pool's workers are forked while the first pool is alive,
+    # so they hold copies of its pipe ends; the first pool ends first
+    short, long = tmp_path / "short.txt", tmp_path / "long.txt"
+    short.write_bytes(b"".join(b"%d\n" % i for i in range(30)))
+    long.write_bytes(b"".join(b"%d\n" % i for i in range(60)))
+    got = []
+
+    def run():
+        a = iter_apply(short, count_records, cfg(first, 2))
+        b = iter_apply(long, count_records, cfg(second, 2))
+        got.extend(zip(a, b))
+        b.close()
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive()
+    want = chunk_apply(short, count_records, cfg("sequential"))
+    assert [x for x, _ in got] == want
+    assert not children_left()
+
+
+@pytest.mark.parametrize("mode", ["pipeline", "split"])
+def test_a_workers_output_is_written_once(tmp_path, mode):
+    # stdout is a pipe, so block-buffered: the master's buffer must not be
+    # copied into the workers, nor a worker's lost when it is killed
+    path = tmp_path / "six.txt"
+    path.write_bytes(b"".join(b"%03d\n" % i for i in range(6)))
+    code = (
+        "import sys\n"
+        "from rowstream import ApplyConfig, ChunkerConfig, chunk_apply\n"
+        "def shout(data):\n"
+        "    sys.stdout.write('worker ' + data.decode())\n"
+        "    return len(data)\n"
+        "print('master before')\n"
+        "cfg = ApplyConfig(sys.argv[2], 2, ChunkerConfig(4))\n"
+        "assert chunk_apply(sys.argv[1], shout, cfg) == [4] * 6\n"
+        "print('master after')\n")
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", code, str(path), mode],
+                          capture_output=True, text=True, check=True, env=env)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "master before" and lines[-1] == "master after"
+    assert sorted(lines[1:-1]) == [f"worker {i:03d}" for i in range(6)]
 
 
 def test_a_worker_holds_one_call_at_most():
