@@ -23,8 +23,8 @@ _EXPORTS = {
                "SchemaError", "SeparatorCollision", "StrictViolation",
                "UnknownLevel", "WorkerFailure"),
     "frame": ("Column", "Frame", "ParseReport", "Schema", "check_layout",
-              "concat_frames", "frames_equal", "infer_schema", "parse_frame",
-              "parse_frame_with_header", "split_quoted", "tokenize"),
+              "frames_equal", "infer_schema", "parse_frame",
+              "parse_frame_with_header"),
     "matrix": ("DenseMatrix", "parse_matrix"),
     "model_matrix": ("ExpandReport", "FactorTerm", "NumericTerm", "TermSpec",
                      "expand", "normalize_hhmm_column", "spec_names"),

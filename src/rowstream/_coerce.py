@@ -4,8 +4,9 @@ The writer adds only the layout: guarding, quoting and laying out records.
 
 ``_TYPES`` holds one row per column type (see ``_Type``).  Reading has two
 paths: a vectorized one built on numpy's fixed-width bytes casts, and the
-per-field loop ``_column_slow`` that serves the types with no cast, quoted
-fields and NUL-bearing chunks.  When a column's one cast fails,
+per-field loop ``_column_slow`` that serves the types with no cast, the
+columns of a chunk that hold a quoted field (a quoted null spelling is a
+value) and NUL-bearing chunks.  When a column's one cast fails,
 ``_cast_bulk`` casts it again in blocks of ``_BLOCK_ROWS`` rows, halves each
 failing block down to the cells it rejects, and runs the type's scalar
 ``read`` on those cells only, so a calendar Timestamp cell still parses and

@@ -2,12 +2,12 @@
 
 A chunk is a contiguous slice of the input that ends on a record separator
 (except possibly the last chunk) and never splits a record.  Records end at
-LF (see ``frame.tokenize``); the chunker only searches for it.  Chunk
-boundaries are a pure function of byte positions, not of how the stream is
-read: the stream is divided into fixed windows of ``target_bytes``, and the
-chunk for window ``k`` ends at the first separator at or past the window's
-last byte.  Consecutive windows whose chunks would be empty are absorbed into
-the chunk that ends past them.  Because the rule only looks at absolute
+LF, even inside a quoted region (see ``frame``); the chunker only searches
+for it.  Chunk boundaries are a pure function of byte positions, not of how
+the stream is read: the stream is divided into fixed windows of
+``target_bytes``, and the chunk for window ``k`` ends at the first separator
+at or past the window's last byte.  Consecutive windows whose chunks would
+be empty are absorbed into the chunk that ends past them.  Because the rule only looks at absolute
 positions, any byte range of the file can be chunked independently and the
 pieces agree exactly with a single sequential pass.
 

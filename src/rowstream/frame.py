@@ -9,25 +9,29 @@ path ran.
 This module owns the record layout: a record ends at LF (one trailing CR is
 dropped), fields are split on one separator byte, and an optional quote byte
 makes the separator literal.  :func:`check_layout` validates both bytes.
-Two splitters share the layout.  :func:`_field_offsets` finds the byte
-offsets of the fields of the columns a caller converts, with numpy scans of
-blocks of whole records, and keeps them as int32 (int64 for a chunk of
-2 GiB or more); :func:`_gather` copies a column of fields straight into an
-``S`` array, with no Python object per field.  So the memory a parse takes
-beyond its result is a fraction of its chunk, and a skipped column costs
-only its share of the scan.  They serve every chunk and every sample for
-:func:`infer_schema` that holds no quote byte and no NUL, CRLF and ragged
-records included: the CR before an LF ends the last field early, each
+One splitter serves every chunk, every sample for :func:`infer_schema` and
+the header that :func:`_header_names` reads: :func:`_field_offsets` finds
+the byte offsets of the fields of the columns a caller converts, with numpy
+scans of blocks of whole records, and keeps them as int32 (int64 for a chunk
+of 2 GiB or more).  The CR before an LF ends the last field early, each
 record's field count comes from its LF, a short record's missing fields are
-empty and a long record's extra ones are dropped.  :func:`tokenize` splits
-quoted and NUL-bearing chunks and samples, and the header that
-:func:`_header_names` reads.
+empty and a long record's extra ones are dropped.  In a chunk that holds the
+quote byte, a separator is literal when an odd number of its record's quote
+bytes lie before it (a quote mask from parity, as in Langdale and Lemire,
+"Parsing Gigabytes of JSON per Second", VLDB J. 2019), and the fields are
+read from one copy of the chunk without the quote bytes that open and close
+regions.  :func:`_gather` copies a column of fields straight into an ``S``
+array, with no Python object per field, so the memory a parse takes beyond
+its result is a fraction of its chunk, and a skipped column costs only its
+share of the scan.  Since an ``S`` array strips NULs, a NUL-bearing chunk's
+fields are ``bytes`` slices instead, and so are a quoted field's column's,
+which is read field by field because a quoted field is never null.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -50,11 +54,8 @@ __all__ = [
     "parse_frame",
     "parse_frame_with_header",
     "infer_schema",
-    "concat_frames",
     "frames_equal",
     "check_layout",
-    "tokenize",
-    "split_quoted",
 ]
 
 # records after any header that infer_schema samples
@@ -75,8 +76,12 @@ class Schema:
 
     ``types`` covers every physical column, including skipped ones; ``names``
     (optional) covers only the output columns, i.e. the non-skip positions.
-    ``quote`` enables opt-in quote handling: inside a quoted region the field
+    ``quote`` enables opt-in quote handling: a quote byte opens a region and
+    the next one closes it, wherever they lie in a field; inside, the field
     separator is literal and a doubled quote is a literal quote character.
+    The quote bytes that open and close regions are not part of the field,
+    and a field that held one is quoted, so never null.  An LF ends a record
+    even inside a region: an unbalanced quote runs to the record's end.
     Records follow the layout described in the module docstring.
     """
 
@@ -222,76 +227,6 @@ def _skip_records(chunk: bytes, n: int):
     return chunk[pos:], dropped
 
 
-def tokenize(chunk: bytes, field_sep: bytes = b",", quote: bytes | None = None,
-             *, limit: int = -1):
-    """Split a chunk into rows of raw fields.
-
-    Returns ``(rows, quoted)``.  ``limit``, when not negative, keeps at most
-    that many leading records, and the rest of the chunk is not split.  The
-    empty tail after a final newline is not a record.  Without ``quote``,
-    ``quoted`` is None; with it, each row has a parallel list of flags from
-    :func:`split_quoted`.
-    """
-    check_layout(field_sep, quote)
-    records = chunk.split(b"\n", limit)
-    # drop the empty tail after a final LF, or the unsplit rest past limit
-    if records[-1] == b"" or len(records) > limit >= 0:
-        records.pop()
-    if b"\r" in chunk:
-        records = [r[:-1] if r.endswith(b"\r") else r for r in records]
-    if quote is None:
-        return [r.split(field_sep) for r in records], None
-    pairs = [split_quoted(r, field_sep, quote) for r in records]
-    return [p[0] for p in pairs], [p[1] for p in pairs]
-
-
-def split_quoted(record: bytes, sep: bytes, quote: bytes):
-    """Split one record on ``sep`` honouring quoted regions.
-
-    Returns ``(fields, quoted_flags)``.  Inside a quoted region the separator
-    is literal and a doubled quote denotes one literal quote character; the
-    quote characters themselves are not part of the field value.  A field is
-    flagged quoted when any part of it came from a quoted region.  Newlines
-    cannot occur (records are already newline-split); an unbalanced quote
-    simply runs to the end of the record.
-    """
-    segments = record.split(quote)
-    n = len(segments)
-    fields = []
-    flags = []
-    current = bytearray()
-    current_quoted = False
-    in_quotes = False
-    i = 0
-    while i < n:
-        seg = segments[i]
-        last = i == n - 1
-        if in_quotes:
-            current += seg
-            if not last:
-                if i + 2 < n and segments[i + 1] == b"":
-                    # two adjacent quotes inside a region: a literal quote
-                    current += quote
-                    i += 2
-                    continue
-                in_quotes = False
-        else:
-            parts = seg.split(sep)
-            current += parts[0]
-            for part in parts[1:]:
-                fields.append(bytes(current))
-                flags.append(current_quoted)
-                current = bytearray(part)
-                current_quoted = False
-            if not last:
-                in_quotes = True
-                current_quoted = True
-        i += 1
-    fields.append(bytes(current))
-    flags.append(current_quoted)
-    return fields, flags
-
-
 def _record_blocks(chunk: bytes):
     """``(lo, hi)`` spans that tile ``chunk`` with whole records, each ending
     at the first LF at or past ``_SCAN_BYTES`` bytes from its start, as the
@@ -303,54 +238,72 @@ def _record_blocks(chunk: bytes):
         lo = hi
 
 
-def _field_offsets(chunk: bytes, ncol: int | None, sep: bytes, cols=None):
-    """``(starts, ends, counts)`` for the fields :func:`tokenize` would split
-    from ``chunk``: ``counts`` holds each record's field count, and
-    ``starts`` and ``ends`` the byte offsets of the fields in ``cols``, an
-    ascending index array (by default all ``ncol``, which is record 0's
-    count when None), as two ``(records, len(cols))`` arrays, where a short
-    record's missing fields are empty.  The offsets are int32 below
-    ``_INT32_LIMIT`` bytes and int64 from there.  None for an empty chunk or
-    one holding a NUL.  Quotes are not looked for, and ``sep`` must already
+def _field_offsets(chunk: bytes, ncol: int | None, sep: bytes, cols=None,
+                   quote: bytes | None = None):
+    """``(starts, ends, counts, data, quoted)`` for the fields of ``chunk``:
+    ``counts`` holds each record's field count, and ``starts`` and ``ends``
+    the byte offsets into ``data`` of the fields in ``cols``, an ascending
+    index array (by default all ``ncol``, which is record 0's count when
+    None), as two ``(records, len(cols))`` arrays, where a short record's
+    missing fields are empty.  The offsets are int32 below ``_INT32_LIMIT``
+    bytes and int64 from there.  ``data`` is ``chunk`` unless it holds the
+    ``quote`` byte: then ``data`` is a copy without the quote bytes that
+    open and close quoted regions, and ``quoted``, in the shape of
+    ``starts``, flags the fields that held one; else ``quoted`` is None.
+    ``ncol`` may be None only without ``quote``, and the layout must already
     have passed :func:`check_layout`.
 
     The chunk is scanned in blocks of whole records (see
     :func:`_record_blocks`), so an array over every field of a block is the
     size of a block, not of the chunk."""
-    if not chunk or b"\x00" in chunk:
-        return None
     if ncol is None:
         record = chunk.split(b"\n", 1)[0]
         # a CR separator before LF ends the record's last field
         ncol = record.count(sep) + 1 - (sep == b"\r" and record.endswith(sep))
+    q = quote[0] if quote is not None and quote in chunk else None
     dtype = np.int32 if len(chunk) < _INT32_LIMIT else np.int64
-    n = chunk.count(b"\n") + (chunk[-1] != 10)
+    n = len(chunk) and chunk.count(b"\n") + (chunk[-1] != 10)
     width = ncol if cols is None else len(cols)
     starts = np.empty((n, width), dtype)
     ends = np.empty((n, width), dtype)
     counts = np.empty(n, dtype)
+    quoted = None if q is None else np.zeros((n, width), np.bool_)
     a = np.frombuffer(chunk, np.uint8)
-    row = 0
+    row, gone, n_gone = 0, [], 0
     for lo, hi in _record_blocks(chunk):
         block = a[lo:hi] if chunk[hi - 1] == 10 else np.append(a[lo:hi], 10)
-        offsets = _scan_block(block, ncol, sep[0], cols)
+        *offsets, lost = _scan_block(block, ncol, sep[0], cols, q)
         rows = slice(row, row + len(offsets[2]))
+        shift = lo - n_gone
+        if lost is not None:
+            # a field moves down by the quote bytes lost before it, and is
+            # quoted when it lost one itself
+            s, e = (np.searchsorted(lost, o) for o in offsets[:2])
+            quoted[rows] = e > s
+            offsets[0], offsets[1] = offsets[0] - s, offsets[1] - e
+            gone.append(lost + lo)
+            n_gone += len(lost)
         starts[rows], ends[rows], counts[rows] = offsets
-        if lo:
-            starts[rows] += lo
-            ends[rows] += lo
+        if shift:
+            starts[rows] += shift
+            ends[rows] += shift
         row = rows.stop
-    return starts, ends, counts
+    data = np.delete(a, np.concatenate(gone)).tobytes() if gone else chunk
+    return starts, ends, counts, data, quoted
 
 
-def _scan_block(b: np.ndarray, ncol: int, sep: int, cols):
+def _scan_block(b: np.ndarray, ncol: int, sep: int, cols, quote=None):
     """:func:`_field_offsets` of one block ``b`` of whole records that ends
-    in LF, with offsets from the block's start."""
+    in LF, with offsets from the block's start, and the positions of the
+    quote bytes its fields lose (None without ``quote``)."""
     is_lf = b == 10
     hits = b == sep
     hits |= is_lf
     ends = np.flatnonzero(hits)
     n = int(np.count_nonzero(is_lf))
+    lost = None
+    if quote is not None:
+        ends, lost = _quote_mask(b, ends, sep, quote)
     if (sep != 13 and len(ends) == n * ncol
             and (b[ends[ncol - 1::ncol]] == 10).all()):
         # every record has ncol fields, each starting one byte past the end
@@ -365,17 +318,17 @@ def _scan_block(b: np.ndarray, ncol: int, sep: int, cols):
             if len(cols) and cols[0] == 0:
                 starts[0, 0] = 0
                 starts[1:, 0] = ends[:-1, -1] + 1
-        # the CR tokenize drops before LF ends the last field early
+        # the CR dropped before LF ends the last field early
         ends[:, -1] -= b[ends[:, -1] - 1] == 13
         if cols is not None:
             ends = ends[:, cols]
-        return starts, ends, np.full(n, ncol)
+        return starts, ends, np.full(n, ncol), lost
     lf = b[ends] == 10
     last = np.flatnonzero(lf)  # each record's last field
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    cr = last[b[ends[last] - 1] == 13]  # the CR tokenize drops before LF
+    cr = last[b[ends[last] - 1] == 13]  # the CR dropped before LF
     if len(cr) and sep == 13:
         # that CR is a separator: its record loses the empty field after it
         lf[cr - 1] = True
@@ -391,7 +344,35 @@ def _scan_block(b: np.ndarray, ncol: int, sep: int, cols):
     idx = np.minimum((last - counts + 1)[:, None] + cols, last[:, None])
     ends = ends[idx]
     starts = np.where(cols < counts[:, None], starts[idx], ends)
-    return starts, ends, counts
+    return starts, ends, counts, lost
+
+
+def _quote_mask(b: np.ndarray, ends: np.ndarray, sep: int, quote: int):
+    """``(ends, lost)``: the hits ``ends`` of block ``b`` less the separators
+    inside quoted regions, and the positions of the quote bytes that open or
+    close a region.
+
+    A record's k-th quote byte, from 0, opens a region when k is even and
+    closes it when k is odd, so a separator is inside a region when an odd
+    number of quote bytes lie between its record's start and it.  A quote
+    byte that opens a region right after the one that closed the region
+    before is the second of a doubled pair, and stays as a literal quote.
+    An LF ends a record whatever the count, and so does a CR separator
+    before it, which is dropped.  A quote CR dropped before an LF counts
+    here, but it lies in no field and no quote byte of its record follows
+    it."""
+    quotes = np.flatnonzero(b == quote)
+    lf = b[ends] == 10
+    lfs = ends[lf]
+    # first[r]: the quote bytes before record r, the one that ends at lfs[r]
+    first = np.append(0, np.searchsorted(quotes, lfs))
+    k = np.arange(len(quotes)) - first[np.searchsorted(lfs, quotes)]
+    odd = (np.searchsorted(quotes, ends) - first[np.cumsum(lf) - lf]) % 2 == 1
+    inside = np.flatnonzero(odd & ~lf)
+    if sep == 13:
+        inside = inside[b[ends[inside] + 1] != 10]
+    lost = quotes[(k % 2 == 1) | (np.diff(quotes, prepend=-2) != 1)]
+    return np.delete(ends, inside), lost
 
 
 def _gather(chunk: bytes, starts: np.ndarray, ends: np.ndarray):
@@ -402,9 +383,9 @@ def _gather(chunk: bytes, starts: np.ndarray, ends: np.ndarray):
     of that window.  When one long field would make that array over four
     times the chunk, the fields come back as a list of ``bytes`` instead."""
     lens = ends - starts
-    k = -(-int(lens.max()) // 8) or 1  # words per field
+    k = -(-int(lens.max(initial=0)) // 8) or 1  # words per field
     if len(starts) * 8 * k > 4 * len(chunk):
-        return [chunk[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+        return _slices(chunk, starts, ends)
     width = 8 * k
     cut = max(len(chunk) + 1 - width, 0)  # a window from here on runs past
     tail = np.ndarray((len(chunk) + 1 - cut,), dtype=f"S{width}",
@@ -420,6 +401,11 @@ def _gather(chunk: bytes, starts: np.ndarray, ends: np.ndarray):
     words = fields.view("<u8").reshape(len(fields), k)
     words &= _BYTE_MASKS[np.clip(lens - 8 * np.arange(k)[:, None], 0, 8)].T
     return fields
+
+
+def _slices(chunk: bytes, starts: np.ndarray, ends: np.ndarray) -> list:
+    """The fields ``chunk[s:e]`` as a list of ``bytes``, NULs and all."""
+    return [chunk[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def _uniform_arity(counts) -> int:
@@ -441,32 +427,21 @@ def _build_frame(chunk: bytes, schema: Schema):
     n_cols = len(schema.types)
     kept = [j for j, t in enumerate(schema.types) if t is not ColumnType.SKIP]
     cols = None if len(kept) == n_cols else np.array(kept, np.intp)
-    offsets = (None if schema.quote is not None and schema.quote in chunk
-               else _field_offsets(chunk, n_cols, schema.field_sep, cols))
-    if offsets is not None:
-        starts, ends, counts = offsets
-
-        def fields(k, j):
-            s, e = starts[:, k], ends[:, k]
-            return _gather(chunk, s, e), None, e - s
-    else:
-        rows, qrows = tokenize(chunk, schema.field_sep, schema.quote)
-        counts = np.array([len(row) for row in rows], np.intp)
-
-        def fields(k, j):
-            # a short record's missing fields are empty and unquoted
-            return ([row[j] if j < len(row) else b"" for row in rows],
-                    None if qrows is None else
-                    [j < len(q) and q[j] for q in qrows], None)
+    starts, ends, counts, data, quoted = _field_offsets(
+        chunk, n_cols, schema.field_sep, cols, schema.quote)
     bulk = b"\x00" not in chunk
     names = schema.out_names()
     columns = []
     failures = {}
     for k, j in enumerate(kept):
-        column, quoted, lengths = fields(k, j)
+        s, e = starts[:, k], ends[:, k]
+        # a quoted field is never null, so its column is read field by field
+        flags = (quoted[:, k].tolist() if quoted is not None
+                 and quoted[:, k].any() else None)
+        column = (_gather(data, s, e) if bulk and flags is None
+                  else _slices(data, s, e))
         ctype = schema.types[j]
-        values, mask, fails = convert_column(column, ctype, quoted, bulk,
-                                             lengths)
+        values, mask, fails = convert_column(column, ctype, flags, bulk, e - s)
         columns.append(Column(names[k], ctype, values, mask))
         failures[names[k]] = fails
     report = ParseReport(len(counts), int(np.count_nonzero(counts < n_cols)),
@@ -501,14 +476,17 @@ def parse_frame(chunk: bytes, schema: Schema, *, strict: bool = False):
 def _header_names(chunk: bytes, schema: Schema) -> list:
     """The name of every physical column, skipped ones included, from the
     header record that opens ``chunk``."""
-    rows = tokenize(chunk, schema.field_sep, schema.quote, limit=1)[0]
-    if not rows:
+    header = chunk[:chunk.find(b"\n") + 1 or len(chunk)]
+    starts, ends, counts, data, _ = _field_offsets(
+        header, len(schema.types), schema.field_sep, quote=schema.quote)
+    if not len(counts):
         raise HeaderArityMismatch("no header record in an empty chunk")
-    if len(rows[0]) != len(schema.types):
+    if counts[0] != len(schema.types):
         raise HeaderArityMismatch(
-            f"header has {len(rows[0])} fields, schema has {len(schema.types)}"
+            f"header has {counts[0]} fields, schema has {len(schema.types)}"
         )
-    return [f.decode("utf-8", "surrogateescape") for f in rows[0]]
+    return [f.decode("utf-8", "surrogateescape")
+            for f in _slices(data, starts[0], ends[0])]
 
 
 def parse_frame_with_header(chunk: bytes, schema: Schema, strict: bool = False):
@@ -542,17 +520,12 @@ def infer_schema(sample: bytes, field_sep: bytes = b",") -> Schema:
             end = len(sample)
             break
     head = sample[:end]
-    offsets = _field_offsets(head, None, field_sep)
-    if offsets is not None:
-        starts, ends, counts = offsets
-        columns = [_gather(head, starts[:, j], ends[:, j])
-                   for j in range(_uniform_arity(counts))]
-    else:
-        rows = tokenize(head, field_sep)[0]
-        if not rows:
-            raise SchemaError("cannot infer a schema from an empty sample")
-        columns = [[row[j] for row in rows]
-                   for j in range(_uniform_arity([len(row) for row in rows]))]
+    starts, ends, counts, _, _ = _field_offsets(head, None, field_sep)
+    if not len(counts):
+        raise SchemaError("cannot infer a schema from an empty sample")
+    split = _gather if b"\x00" not in head else _slices
+    columns = [split(head, starts[:, j], ends[:, j])
+               for j in range(_uniform_arity(counts))]
     return Schema(types=tuple(map(_infer_column, columns)),
                   field_sep=field_sep)
 
@@ -564,7 +537,8 @@ def _infer_column(fields) -> ColumnType:
     if isinstance(fields, list):
         if any(b"\x00" in f for f in fields):
             return ColumnType.CHARACTER  # no other type reads a NUL
-        # a list holds a cell too long to widen every cell to
+        # a list holds a cell too long to widen every cell to, or comes
+        # from a NUL-bearing sample
         cells = [np.array([f]) for f in fields if not is_null_token(f)]
     else:
         cells = [fields[~_null_mask(fields)]]
@@ -584,31 +558,6 @@ def _reads_all(cells: np.ndarray, ctype: ColumnType) -> bool:
     except (ValueError, OverflowError):
         return False
     return True
-
-
-def concat_frames(frames: Sequence[Frame]) -> Frame:
-    """Stack frames with identical names and types, in order."""
-    frames = list(frames)
-    if not frames:
-        raise ValueError("concat_frames needs at least one frame")
-    first = frames[0]
-    for fr in frames[1:]:
-        if fr.names != first.names or [c.ctype for c in fr.columns] != [
-            c.ctype for c in first.columns
-        ]:
-            raise SchemaError("frames disagree on column names or types")
-    if len(frames) == 1:
-        return first
-    columns = []
-    for i, col in enumerate(first.columns):
-        parts = [fr.columns[i] for fr in frames]
-        if isinstance(col.values, list):
-            values = [v for p in parts for v in p.values]
-        else:
-            values = np.concatenate([p.values for p in parts])
-        mask = np.concatenate([p.mask for p in parts])
-        columns.append(Column(col.name, col.ctype, values, mask))
-    return Frame(columns)
 
 
 def _float_bits_equal(a: np.ndarray, b: np.ndarray) -> bool:

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._coerce import ColumnType, convert_column
+from ._coerce import _TYPES, ColumnType, convert_column
 from .errors import SchemaError
-from .frame import (_field_offsets, _gather, _record_blocks, _uniform_arity,
-                    check_layout, tokenize)
+from .frame import (_field_offsets, _gather, _record_blocks, _slices,
+                    _uniform_arity, check_layout)
 
-__all__ = ["DenseMatrix", "parse_matrix", "MATRIX_TYPES"]
+__all__ = ["DenseMatrix", "parse_matrix"]
 
-MATRIX_TYPES = (
+_MATRIX_TYPES = (
     ColumnType.LOGICAL,
     ColumnType.INTEGER,
     ColumnType.REAL,
@@ -64,37 +64,32 @@ def parse_matrix(chunk: bytes, elem_type: ColumnType, field_sep: bytes = b","):
     non-null fields (rendered as the type's null-representation).  An empty
     chunk gives a 0x0 matrix.
     """
-    if elem_type not in MATRIX_TYPES:
+    if elem_type not in _MATRIX_TYPES:
         raise SchemaError(f"matrices cannot hold {elem_type.value} elements")
     check_layout(field_sep)
-    if not chunk or b"\x00" in chunk:
-        rows = tokenize(chunk, field_sep)[0]
-        n_rows, arity = len(rows), _uniform_arity([len(row) for row in rows])
-        values, _mask, failures = convert_column(
-            [f for row in rows for f in row], elem_type, None, not chunk)
-        data = np.empty(len(values), _dtype(values))
-        data[:] = values
-        return DenseMatrix(data.reshape(n_rows, arity)), failures
+    # a Character matrix holds its strings in an object array
+    dtype = _TYPES[elem_type].dtype or object
+    if not chunk:
+        return DenseMatrix(np.empty((0, 0), dtype)), 0
+    # an S array strips NULs, so a NUL-bearing chunk is read field by field
+    bulk = b"\x00" not in chunk
+    split = _gather if bulk else _slices
     # block by block, so that no per-field array outgrows a block
     n_rows = chunk.count(b"\n") + (not chunk.endswith(b"\n"))
     data, ncol, pos, counts, failures = None, None, 0, [], 0
     for lo, hi in _record_blocks(chunk):
         block = chunk[lo:hi]
-        starts, ends, block_counts = _field_offsets(block, ncol, field_sep)
+        starts, ends, block_counts, _, _ = _field_offsets(block, ncol,
+                                                          field_sep)
         ncol = starts.shape[1]
         starts, ends = starts.ravel(), ends.ravel()
         values, _mask, fails = convert_column(
-            _gather(block, starts, ends), elem_type, lengths=ends - starts)
+            split(block, starts, ends), elem_type, None, bulk, ends - starts)
         if data is None:
-            data = np.empty(n_rows * ncol, _dtype(values))
+            data = np.empty(n_rows * ncol, dtype)
         data[pos:pos + len(values)] = values
         pos += len(values)
         counts.append(block_counts)
         failures += fails
     arity = _uniform_arity(np.concatenate(counts))
     return DenseMatrix(data.reshape(n_rows, arity)), failures
-
-
-def _dtype(values):
-    # a Character matrix holds its strings in an object array
-    return values.dtype if isinstance(values, np.ndarray) else object

@@ -9,7 +9,8 @@ the shape of a straightforward hand-rolled reader.  The bulk path in
 ``bytes`` object per cell, guards each one and joins rows, and
 ``rowstream.writer.format_frame`` must write the same bytes or raise the same
 exception type.  ``naive_infer_schema`` is the per-field type rule that
-``rowstream.frame.infer_schema`` must agree with.  ``synthetic_csv`` generates
+``rowstream.frame.infer_schema`` must agree with, and ``concat_frames``
+stacks the frames of a chunked parse.  ``synthetic_csv`` generates
 deterministic mixed-type input for the differential and speed checks, and
 ``airline_csv`` records shaped like the ASA airline files for the memory
 checks.
@@ -23,7 +24,7 @@ from rowstream._coerce import _TYPES, ColumnType, is_null_token
 import rowstream.frame
 from rowstream.errors import SchemaError, SeparatorCollision
 from rowstream.frame import (Column, Frame, ParseReport, Schema, _enforce_strict,
-                             _uniform_arity, check_layout, tokenize)
+                             _uniform_arity, check_layout)
 
 _FILL = {
     ColumnType.LOGICAL: False,
@@ -95,6 +96,15 @@ def _naive_split_fields(record: bytes, sep: int, quote):
     fields.append(bytes(current))
     flags.append(current_quoted)
     return fields, flags
+
+
+def _naive_records(chunk: bytes):
+    """The records of ``chunk``, each without its LF and the one CR before
+    it; the empty tail after a final LF is not a record."""
+    records = chunk.split(b"\n")
+    if records[-1] == b"":
+        records.pop()
+    return [r[:-1] if r.endswith(b"\r") else r for r in records]
 
 
 def naive_parse_frame(chunk: bytes, schema: Schema, strict: bool = False):
@@ -177,8 +187,8 @@ def naive_infer_schema(sample: bytes, field_sep: bytes = b",") -> Schema:
     first ``_SAMPLE_RECORDS`` records, else Character.
 
     Same contract and same results as :func:`rowstream.infer_schema`."""
-    rows = tokenize(sample, field_sep,
-                    limit=rowstream.frame._SAMPLE_RECORDS)[0]
+    records = _naive_records(sample)[:rowstream.frame._SAMPLE_RECORDS]
+    rows = [_naive_split_fields(r, field_sep[0], None)[0] for r in records]
     if not rows:
         raise SchemaError("cannot infer a schema from an empty sample")
     types = [_naive_infer_column([row[j] for row in rows])
@@ -201,11 +211,8 @@ def naive_parse_matrix(chunk: bytes, elem_type: ColumnType,
     """Parse a matrix record by record and cell by cell.
 
     Same contract and same results as :func:`rowstream.parse_matrix`."""
-    records = chunk.split(b"\n")
-    if records[-1] == b"":
-        records.pop()
-    rows = [_naive_split_fields(r[:-1] if r.endswith(b"\r") else r,
-                                field_sep[0], None)[0] for r in records]
+    rows = [_naive_split_fields(r, field_sep[0], None)[0]
+            for r in _naive_records(chunk)]
     arity = _uniform_arity([len(row) for row in rows])
     fill = None if elem_type is ColumnType.CHARACTER else _FILL[elem_type]
     values, failures = [], 0
@@ -217,6 +224,31 @@ def naive_parse_matrix(chunk: bytes, elem_type: ColumnType,
     data = np.empty(len(values), _DTYPE.get(elem_type, object))
     data[:] = values
     return data.reshape(len(rows), arity), failures
+
+
+def concat_frames(frames) -> Frame:
+    """Stack frames with identical names and types, in order."""
+    frames = list(frames)
+    if not frames:
+        raise ValueError("concat_frames needs at least one frame")
+    first = frames[0]
+    for fr in frames[1:]:
+        if fr.names != first.names or [c.ctype for c in fr.columns] != [
+            c.ctype for c in first.columns
+        ]:
+            raise SchemaError("frames disagree on column names or types")
+    if len(frames) == 1:
+        return first
+    columns = []
+    for i, col in enumerate(first.columns):
+        parts = [fr.columns[i] for fr in frames]
+        if isinstance(col.values, list):
+            values = [v for p in parts for v in p.values]
+        else:
+            values = np.concatenate([p.values for p in parts])
+        mask = np.concatenate([p.mask for p in parts])
+        columns.append(Column(col.name, col.ctype, values, mask))
+    return Frame(columns)
 
 
 def _render_real(v: float) -> bytes:

@@ -27,7 +27,6 @@ from rowstream import (
     TermSpec,
     accumulate,
     chunk_apply,
-    concat_frames,
     expand,
     frames_equal,
     iter_chunks,
@@ -42,7 +41,7 @@ from rowstream.cli import main as cli_main
 from rowstream.writer import format_matrix
 
 from conftest import random_frame, roundtrip
-from oracle import naive_parse_frame, synthetic_csv
+from oracle import concat_frames, naive_parse_frame, synthetic_csv
 
 KiB = 1024
 MiB = 1024 * 1024

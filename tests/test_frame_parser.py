@@ -13,22 +13,19 @@ from rowstream import (
     Schema,
     SchemaError,
     StrictViolation,
-    concat_frames,
     frames_equal,
     infer_schema,
     parse_frame,
     parse_frame_with_header,
     parse_matrix,
-    split_quoted,
-    tokenize,
 )
 import rowstream.frame
-import rowstream.matrix
 from rowstream._coerce import _column_slow, convert_column
 from rowstream.frame import _SAMPLE_RECORDS, _field_offsets, _gather
 
-from oracle import (_naive_split_fields, airline_csv, naive_infer_schema,
-                    naive_parse_frame, parse_field_ex)
+from oracle import (_naive_split_fields, airline_csv, concat_frames,
+                    naive_infer_schema, naive_parse_frame, naive_parse_matrix,
+                    parse_field_ex, synthetic_csv)
 
 L = ColumnType.LOGICAL
 I = ColumnType.INTEGER
@@ -216,15 +213,40 @@ def test_header_arity_mismatch():
         parse_frame_with_header(b"x,y,z\n1,2\n", Schema((I, I)))
 
 
+@pytest.mark.parametrize("data,schema,names", [
+    # a quoted separator and a doubled quote
+    (b'"a,""b""",c\n1,2\n', Schema((I, I), quote=b'"'), ['a,"b"', "c"]),
+    # NULs inside a name and at its end
+    (b"a\x00b,\x00\n1,2\n", Schema((I, I)), ["a\x00b", "\x00"]),
+    (b"'x\x00,y',z\r\n1,2\n", Schema((I, I), quote=b"'"), ["x\x00,y", "z"]),
+])
+def test_header_names_come_from_the_scan(data, schema, names):
+    frame, _ = parse_frame_with_header(data, schema)
+    assert frame.names == names
+    assert frame.columns[0].values.tolist() == [1]
+
+
+@pytest.mark.parametrize("data,quote,message", [
+    (b"x,y,z\n1,2\n", None, "header has 3 fields, schema has 2"),
+    (b'"x,y"\n1,2\n', b'"', "header has 1 fields, schema has 2"),
+    (b"", b'"', "no header record in an empty chunk"),
+])
+def test_header_arity_mismatch_message(data, quote, message):
+    with pytest.raises(HeaderArityMismatch) as caught:
+        parse_frame_with_header(data, Schema((I, I), quote=quote))
+    assert str(caught.value) == message
+
+
 def test_crlf_records():
     frame, _ = parse_frame(b"1,a\r\n2,b\r\n", Schema((I, C)))
     assert frame.column("V2").values == ["a", "b"]
 
 
-def test_tokenize_only_strips_final_cr():
-    assert tokenize(b"a\r\nb\r\n")[0] == [[b"a"], [b"b"]]
-    assert tokenize(b"a\rx\n")[0] == [[b"a\rx"]]
-    assert tokenize(b"tail")[0] == [[b"tail"]]
+def test_scan_only_strips_final_cr():
+    for data, values in [(b"a\r\nb\r\n", ["a", "b"]), (b"a\rx\n", ["a\rx"]),
+                         (b"tail", ["tail"])]:
+        frame, _ = _scan_agrees(data, Schema((C,)))
+        assert frame.columns[0].values == values
 
 
 def test_quoted_fields():
@@ -306,9 +328,10 @@ _INFER_CELLS = [b"1", b"-2", b" 3", b"+4", b"1_0", b"007", b"1e3", b"2.5",
 def test_infer_schema_matches_the_per_field_rule(
         columns, n_rows, ragged, crlf, final_newline, sep, limit):
     """One cast per column and candidate type gives the type the per-field
-    rule gives, or the same exception, on either splitter (a NUL sends the
-    sample to tokenize, and a 301-byte cell makes the scan gather a list),
-    with ragged and CRLF samples and a sample longer than the limit."""
+    rule gives, or the same exception, whether the cells come as an ``S``
+    array or as a list (a NUL makes the scan slice a list, and so does a
+    301-byte cell), with ragged and CRLF samples and a sample longer than
+    the limit."""
     rows = [[col[i % len(col)] for col in columns] for i in range(n_rows)]
     if ragged:
         rows[-1] = rows[-1][:-1] or rows[-1] * 2
@@ -429,7 +452,7 @@ def test_bad_cell_search_matches_the_whole_column_reread(drawn):
     failure counts."""
     ctype, cells = drawn
     data = b"\n".join(cells) + b"\n"
-    starts, ends, _ = _field_offsets(data, 1, b",")
+    starts, ends, *_ = _field_offsets(data, 1, b",")
     gathered = _gather(data, starts[:, 0], ends[:, 0])
     values, mask, failures = convert_column(gathered, ctype)
     ref_values, ref_mask, ref_failures = _column_slow(cells, ctype, None)
@@ -465,7 +488,6 @@ def test_offset_path_takes_a_64k_field(n_records):
         for i in range(n_records)
     )
     schema = Schema((I, R, C))
-    assert _field_offsets(data, 3, b",") is not None
     frame, report = parse_frame(data, schema)
     ref_frame, ref_report = naive_parse_frame(data, schema)
     assert frames_equal(frame, ref_frame) and report == ref_report
@@ -476,7 +498,6 @@ def test_offset_path_takes_a_64k_field(n_records):
 def test_offset_path_takes_an_unterminated_last_record():
     data = b"1,x\n2,\n3,zz"
     schema = Schema((I, C))
-    assert _field_offsets(data, 2, b",") is not None
     frame, report = parse_frame(data, schema)
     assert frame.columns[0].values.tolist() == [1, 2, 3]
     assert frame.columns[1].values == ["x", None, "zz"]
@@ -488,30 +509,25 @@ def test_gathered_column_keeps_its_nulls_when_the_cast_fails(ctype):
     # the bulk cast writes placeholders at null slots; the search for the
     # bad cell must leave those slots null
     data = b"1\nNA\n\nx\n"
-    assert _field_offsets(data, 1, b",") is not None
     frame, report = parse_frame(data, Schema((ctype,)))
     assert frame.columns[0].mask.tolist() == [False, True, True, True]
     assert frame.columns[0].values[0] == 1
     assert report.column_failures == {"V1": 1}
 
 
-def _scan_and_tokenize_agree(data, schema, monkeypatch):
-    """Parse ``data`` on the offset scan and again on tokenize, and check
-    both against the reference; returns the scan's frame and report."""
-    assert _field_offsets(data, len(schema.types), schema.field_sep) is not None
+def _scan_agrees(data, schema):
+    """Parse ``data`` and check it against the reference; returns the
+    frame and report."""
     frame, report = parse_frame(data, schema)
     ref_frame, ref_report = naive_parse_frame(data, schema)
     assert frames_equal(frame, ref_frame) and report == ref_report
-    monkeypatch.setattr(rowstream.frame, "_field_offsets", lambda *a: None)
-    tok_frame, tok_report = parse_frame(data, schema)
-    assert frames_equal(frame, tok_frame) and report == tok_report
     return frame, report
 
 
 @pytest.mark.parametrize("odd,short,long_", [(b"4", 1, 0), (b"4,d,9", 0, 1)])
-def test_one_ragged_record_is_served_by_the_scan(odd, short, long_, monkeypatch):
+def test_one_ragged_record_is_served_by_the_scan(odd, short, long_):
     data = b"1,a\n2,b\n" + odd + b"\n5,e\n"
-    _, report = _scan_and_tokenize_agree(data, Schema((I, C)), monkeypatch)
+    _, report = _scan_agrees(data, Schema((I, C)))
     assert (report.short_rows, report.long_rows) == (short, long_)
 
 
@@ -524,18 +540,17 @@ def test_one_ragged_record_is_served_by_the_scan(odd, short, long_, monkeypatch)
     (b"1\r\n2,b,x\r\n", [None, "b"]),  # a short and a long record
     (b"\r", [None]),
 ])
-def test_crlf_records_are_served_by_the_scan(data, last_column, monkeypatch):
-    frame, report = _scan_and_tokenize_agree(data, Schema((I, C)), monkeypatch)
+def test_crlf_records_are_served_by_the_scan(data, last_column):
+    frame, report = _scan_agrees(data, Schema((I, C)))
     assert frame.columns[1].values == last_column
     assert report.n_records == len(last_column)
 
 
 @pytest.mark.parametrize("data", [b"1\r\r\n2\r3\r\n", b"1\r\r", b"\r\n4\r\r\n"])
-def test_cr_separator_before_lf_is_dropped_with_its_empty_field(data,
-                                                                 monkeypatch):
-    # tokenize drops the CR first, so the record loses its last, empty field
+def test_cr_separator_before_lf_is_dropped_with_its_empty_field(data):
+    # the CR is dropped first, so the record loses its last, empty field
     schema = Schema((I, I), field_sep=b"\r")
-    _scan_and_tokenize_agree(data, schema, monkeypatch)
+    _scan_agrees(data, schema)
 
 
 def test_parse_matrix_reads_crlf_and_raises_on_ragged_records():
@@ -545,27 +560,64 @@ def test_parse_matrix_reads_crlf_and_raises_on_ragged_records():
         parse_matrix(b"1\r\n2,3\r\n", R)
 
 
-def test_tokenize_serves_only_quoted_and_nul_chunks(monkeypatch):
-    called = []
-    real = rowstream.frame.tokenize
-
-    def spy(chunk, *args, **kwargs):
-        called.append(chunk)
-        return real(chunk, *args, **kwargs)
-
-    monkeypatch.setattr(rowstream.frame, "tokenize", spy)
-    monkeypatch.setattr(rowstream.matrix, "tokenize", spy)
+def test_scan_serves_quoted_and_nul_chunks():
     dirty = b"1,a\r\n2\r\nx,b,c\n3,\r"
-    parse_frame(dirty, Schema((I, C)))
-    parse_frame(dirty, Schema((I, C), quote=b'"'))
-    parse_matrix(b"1,2\r\n3,x\r\n", I)
-    with pytest.raises(RaggedInput):
-        parse_matrix(b"1,2\r\n3\r\n", I)
-    assert called == []
-    parse_frame(b'"1",a\n', Schema((I, C), quote=b'"'))
-    parse_frame(b"1,a\x00\n", Schema((I, B)))
-    parse_matrix(b"1,\x00\n", I)
-    assert len(called) == 3
+    _scan_agrees(dirty, Schema((I, C)))
+    _scan_agrees(dirty, Schema((I, C), quote=b'"'))
+    _scan_agrees(b'"1",a\n', Schema((I, C), quote=b'"'))
+    _scan_agrees(b"1,a\x00\n", Schema((I, B)))
+    for data in (b"1,2\r\n3,x\r\n", b"1,\x00\n"):
+        matrix, failures = parse_matrix(data, I)
+        ref_values, ref_failures = naive_parse_matrix(data, I)
+        assert matrix.values.tolist() == ref_values.tolist()
+        assert failures == ref_failures
+
+
+@pytest.mark.parametrize("data,schema,values", [
+    # an unbalanced quote runs to the record's end
+    (b'1,"a,b\n2,c\n', Schema((I, C), quote=b'"'), ["a,b", "c"]),
+    # a doubled quote, then the record ends inside the region
+    (b'1,"a""\n2,b\n', Schema((I, C), quote=b'"'), ['a"', "b"]),
+    # an odd count of quotes in one record leaves the next one's as it was
+    (b'1,"a\n2,"b""c"\n', Schema((I, C), quote=b'"'), ["a", 'b"c']),
+    # a quote mid-field opens a region there
+    (b"1,x'y,z'w\n", Schema((I, C), quote=b"'"), ["xy,zw"]),
+    # quote CR: of CR CR LF only the last CR is dropped, so one is a quote
+    (b"1,\rb\r\r\n2,c\r\r\n", Schema((I, C), quote=b"\r"), ["b", "c"]),
+    # a CR separator inside quotes is literal, but the one before LF is
+    # dropped, and the record ends inside the region
+    (b'1\r"a\rb\r\n2\rc\r\n', Schema((I, C), field_sep=b"\r", quote=b'"'),
+     ["a\rb", "c"]),
+    (b'1\r"a"\r\r\n', Schema((I, C), field_sep=b"\r", quote=b'"'), ["a"]),
+])
+def test_scan_reads_quotes_as_the_reference_does(data, schema, values):
+    frame, _ = _scan_agrees(data, schema)
+    assert frame.columns[1].values == values
+
+
+@pytest.mark.parametrize("ctype", [I, R, L, C])
+def test_quoted_null_spellings_are_values(ctype):
+    # a quoted "" or "NA" is never null: a character column reads it as a
+    # string, and any other type fails it
+    data = b'"",x\n"NA",y\nNA,z\n,w\n'
+    frame, report = _scan_agrees(data, Schema((ctype, C), quote=b'"'))
+    assert frame.columns[0].mask.tolist() == [ctype is not C] * 2 + [True] * 2
+    assert report.column_failures["V1"] == (0 if ctype is C else 2)
+    if ctype is C:
+        assert frame.columns[0].values == ["", "NA", None, None]
+
+
+@pytest.mark.parametrize("data", [b"1,a\x00b\n2,c\x00\n",
+                                  b"\x00,1\n2,\x00\n"])
+def test_nul_cells_read_as_the_reference_does(data):
+    # a NUL inside a cell and at its end: an S array would strip the latter
+    for ctype in (C, I):
+        matrix, failures = parse_matrix(data, ctype)
+        ref_values, ref_failures = naive_parse_matrix(data, ctype)
+        assert matrix.values.tolist() == ref_values.tolist()
+        assert failures == ref_failures
+    assert infer_schema(data).types == naive_infer_schema(data).types
+    _scan_agrees(data, Schema((C, B)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -573,11 +625,17 @@ def test_tokenize_serves_only_quoted_and_nul_chunks(monkeypatch):
     record=st.binary(max_size=60).map(lambda b: b.replace(b"\n", b";")),
     sep=st.sampled_from([b",", b"|", b"\t"]),
 )
-def test_split_quoted_matches_naive_state_machine(record, sep):
-    fields, flags = split_quoted(record, sep, b'"')
-    ref_fields, ref_flags = _naive_split_fields(record, sep[0], ord('"'))
-    assert fields == ref_fields
-    assert flags == ref_flags
+def test_quoted_record_matches_naive_state_machine(record, sep):
+    # the fields and quoted flags of one record, as bytes cells, whose
+    # null spellings count as nulls only when unquoted
+    fields, flags = _naive_split_fields(record.removesuffix(b"\r"), sep[0],
+                                        ord('"'))
+    schema = Schema((B,) * len(fields), field_sep=sep, quote=b'"')
+    frame, _ = _scan_agrees(record + b"\n", schema)
+    for column, field, flag in zip(frame.columns, fields, flags):
+        null = not flag and field in (b"", b"NA")
+        assert column.mask.tolist() == [null]
+        assert column.values == [None if null else field]
 
 
 @settings(max_examples=100, deadline=None)
@@ -650,12 +708,30 @@ def test_projected_parse_holds_about_one_chunk():
     assert peak < 1.5 * len(chunk), peak / len(chunk)
 
 
+def test_quoted_parse_holds_a_few_chunks():
+    # the quote-free copy of the chunk and the quoted column's bytes and
+    # str objects; splitting every record into Python objects took 13.6
+    # chunk bytes on this chunk
+    rows = (r.split(b",") for r in synthetic_csv(1 << 20).splitlines())
+    data = b"".join(b'%s,%s,"%s",%s\n' % tuple(r) for r in rows)
+    chunk = data[:data.index(b"\n", 1 << 20) + 1]
+    schema = Schema((I, R, C, L), quote=b'"')
+    tracemalloc.start()
+    try:
+        frame, report = parse_frame(chunk, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.n_rows == chunk.count(b"\n") and report.total_failures == 0
+    assert peak < 8 * len(chunk), peak / len(chunk)
+
+
 def test_int64_offsets_parse_the_same(monkeypatch):
     chunk = airline_csv(300) + b"2008,1,2,3\r\n"  # a short CRLF record
     schema = _airline_schema()
     expected = parse_frame(chunk, schema)
     monkeypatch.setattr(rowstream.frame, "_INT32_LIMIT", 64)
     monkeypatch.setattr(rowstream.frame, "_SCAN_BYTES", 1000)
-    starts, ends, counts = _field_offsets(chunk, 29, b",", np.array([3, 15]))
+    starts, ends, *_ = _field_offsets(chunk, 29, b",", np.array([3, 15]))
     assert starts.dtype == ends.dtype == np.int64
     assert parse_frame(chunk, schema) == expected

@@ -1,9 +1,9 @@
-"""The record layout: two splitters that agree, and one separator check.
+"""The record layout: one splitter, and one separator check.
 
-``parse_frame`` and ``tokenize`` must agree with the per-character reference
-parser on any chunk, whatever the line endings, quoting and raggedness,
-whichever splitter serves the chunk, and every entry point that takes a
-separator must reject the same bad layouts.
+``parse_frame`` must agree with the per-character reference parser on any
+chunk, whatever the separator, line endings, quote byte, NULs and
+raggedness, and every entry point that takes a separator must reject the
+same bad layouts.
 """
 
 from collections import Counter
@@ -26,7 +26,6 @@ from rowstream import (
     infer_schema,
     parse_frame,
     parse_matrix,
-    tokenize,
 )
 from rowstream.cli import main
 
@@ -34,9 +33,7 @@ from oracle import naive_parse_frame
 
 _CELLS = [b"1", b"2.5", b"NA", b"", b'"a,b"', b'"q""q"', b'"', b"\r",
           b"\x00", b"x", b"TRUE", b"-123456789012345678", b"caf\xc3\xa9",
-          b"\xe2\x82", b"\xff"]
-# the drawn quote byte of the example being checked, for the count below
-_drawn = {}
+          b"\xe2\x82", b"\xff", b"'p\tq'", b"'it''s'", b'"r\rs"', b"'"]
 
 
 @settings(max_examples=500, deadline=None)
@@ -45,50 +42,47 @@ _drawn = {}
                   max_size=8),
     crlf=st.booleans(),
     final_newline=st.booleans(),
-    quote=st.sampled_from([None, b'"', b"'"]),
-    limit=st.integers(0, 9),
+    sep=st.sampled_from([b",", b"\t", b"\r"]),
+    quote=st.sampled_from([None, b'"', b"'", b"\r"]),
     types=st.lists(st.sampled_from(list(ColumnType)), min_size=1, max_size=4),
     uniform=st.booleans(),
 )
-def _check_against_reference(rows, crlf, final_newline, quote, limit, types,
+def _check_against_reference(rows, crlf, final_newline, sep, quote, types,
                              uniform):
     if uniform:  # every record has the schema's field count
         rows = [(row + [b"x"] * len(types))[:len(types)] for row in rows]
     eol = b"\r\n" if crlf else b"\n"
-    chunk = eol.join(b",".join(r) for r in rows)
+    chunk = eol.join(sep.join(r) for r in rows)
     if rows and final_newline:
         chunk += eol
-    schema = Schema(tuple(types), quote=quote)
-    _drawn["quote"] = quote
+    schema = Schema(tuple(types), field_sep=sep,
+                    quote=None if quote == sep else quote)
     frame, report = parse_frame(chunk, schema)
     ref_frame, ref_report = naive_parse_frame(chunk, schema)
     assert frames_equal(frame, ref_frame)
     assert report == ref_report
 
-    all_rows, all_quoted = tokenize(chunk, quote=quote)
-    some_rows, some_quoted = tokenize(chunk, quote=quote, limit=limit)
-    assert some_rows == all_rows[:limit]
-    assert some_quoted == (None if quote is None else all_quoted[:limit])
-
 
 def _served_examples(monkeypatch):
-    """Run the differential and count which splitter served each example,
-    and how many of the scan's chunks were CRLF, ragged or projected (a
-    SKIP column in the schema) and how many blocks it scanned."""
+    """Run the differential and count the chunks the scan served that held
+    the quote byte or a NUL, or were CRLF, ragged or projected (a SKIP
+    column in the schema), and those it scanned in more than one block."""
     served = Counter()
     scan = rowstream.frame._field_offsets
 
-    def counted(chunk, ncol, sep, cols=None):
-        offsets = scan(chunk, ncol, sep, cols)
-        splitter = "offsets" if offsets is not None else "tokenize"
-        served[splitter, _drawn["quote"] is not None] += 1
-        if offsets is not None:
-            served["crlf"] += b"\r\n" in chunk
-            served["ragged"] += bool((offsets[2] != ncol).any())
-            served["skip"] += cols is not None
-            blocks = len(list(rowstream.frame._record_blocks(chunk)))
-            served["blocks>1"] += blocks > 1
-            served["crlf, blocks>1"] += blocks > 1 and b"\r\n" in chunk
+    def counted(chunk, ncol, sep, cols=None, quote=None):
+        offsets = scan(chunk, ncol, sep, cols, quote)
+        served["quote"] += quote is not None and quote in chunk
+        served["quote set, absent"] += quote is not None and quote not in chunk
+        served["nul"] += b"\x00" in chunk
+        served["crlf"] += b"\r\n" in chunk
+        served["ragged"] += bool((offsets[2] != ncol).any())
+        served["skip"] += cols is not None
+        blocks = len(list(rowstream.frame._record_blocks(chunk)))
+        served["blocks>1"] += blocks > 1
+        served["crlf, blocks>1"] += blocks > 1 and b"\r\n" in chunk
+        served["quote, blocks>1"] += (blocks > 1 and quote is not None
+                                      and quote in chunk)
         return offsets
 
     monkeypatch.setattr(rowstream.frame, "_field_offsets", counted)
@@ -97,14 +91,12 @@ def _served_examples(monkeypatch):
 
 
 def test_parse_frame_matches_naive_reference(monkeypatch):
-    """Both splitters must serve some of the examples: the offset scan takes
-    every chunk that holds no quote byte or NUL, whether or not the schema
-    sets a quote byte, CRLF and ragged chunks and those with SKIP columns
-    included, and tokenize takes the rest."""
+    """The offset scan serves every example: chunks that hold the quote byte
+    or a NUL, and those whose schema sets a quote byte they lack, CRLF and
+    ragged chunks and those with SKIP columns included."""
     served = _served_examples(monkeypatch)
-    assert (served["offsets", False] and served["offsets", True]
-            and served["tokenize", False] and served["crlf"]
-            and served["ragged"] and served["skip"]), served
+    assert (served["quote"] and served["quote set, absent"] and served["nul"]
+            and served["crlf"] and served["ragged"] and served["skip"]), served
 
 
 @pytest.mark.parametrize("scan_bytes", [1, 2, 7])
@@ -112,11 +104,12 @@ def test_parse_frame_matches_naive_reference_across_scan_blocks(
         monkeypatch, scan_bytes):
     """With scan blocks of a few bytes, most records, and their CRLF pairs,
     run past a block's first ``scan_bytes`` bytes, and a chunk takes
-    several blocks."""
+    several blocks, quoted chunks too."""
     monkeypatch.setattr(rowstream.frame, "_SCAN_BYTES", scan_bytes)
     served = _served_examples(monkeypatch)
     assert (served["crlf"] and served["ragged"] and served["skip"]
-            and served["crlf, blocks>1"]), served
+            and served["crlf, blocks>1"] and served["quote, blocks>1"]
+            and served["nul"]), served
 
 
 _LAYOUT_USERS = {
