@@ -272,18 +272,18 @@ def _field_offsets(chunk: bytes, ncol: int | None, sep: bytes, cols=None,
     row, gone, n_gone = 0, [], 0
     for lo, hi in _record_blocks(chunk):
         block = a[lo:hi] if chunk[hi - 1] == 10 else np.append(a[lo:hi], 10)
-        *offsets, lost = _scan_block(block, ncol, sep[0], cols, q)
-        rows = slice(row, row + len(offsets[2]))
+        s, e, c, lost = _scan_block(block, ncol, sep[0], cols, q)
+        rows = slice(row, row + len(c))
         shift = lo - n_gone
         if lost is not None:
             # a field moves down by the quote bytes lost before it, and is
             # quoted when it lost one itself
-            s, e = (np.searchsorted(lost, o) for o in offsets[:2])
-            quoted[rows] = e > s
-            offsets[0], offsets[1] = offsets[0] - s, offsets[1] - e
+            lost_s, lost_e = np.searchsorted(lost, s), np.searchsorted(lost, e)
+            quoted[rows] = lost_e > lost_s
+            s, e = s - lost_s, e - lost_e
             gone.append(lost + lo)
             n_gone += len(lost)
-        starts[rows], ends[rows], counts[rows] = offsets
+        starts[rows], ends[rows], counts[rows] = s, e, c
         if shift:
             starts[rows] += shift
             ends[rows] += shift
