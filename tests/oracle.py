@@ -4,11 +4,10 @@ oracles for the bulk parser and the columnar writer.
 The naive parser walks the input one byte at a time, extracts every field as
 its own bytes object, coerces it scalar-by-scalar, and appends row by row —
 the shape of a straightforward hand-rolled reader.  The bulk path in
-``rowstream.frame`` must produce identical frames and reports on any input
-(balanced quotes assumed when quoting is on).  The naive writer spells one
-``bytes`` object per cell, guards each one and joins rows, and
-``rowstream.writer.format_frame`` must write the same bytes or raise the same
-exception type.  ``naive_infer_schema`` is the per-field type rule that
+``rowstream.frame`` must produce identical frames and reports on any input,
+unbalanced quotes included.  The naive writer spells one ``bytes`` object per
+cell, guards each one and joins rows, and ``rowstream.writer.format_frame``
+must write the same bytes or raise the same exception type.  ``naive_infer_schema`` is the per-field type rule that
 ``rowstream.frame.infer_schema`` must agree with, and ``concat_frames``
 stacks the frames of a chunked parse.  ``synthetic_csv`` generates
 deterministic mixed-type input for the differential and speed checks, and
