@@ -2,20 +2,20 @@
 reads byte fields and ``spell_column`` writes cells that read back the same.
 The writer adds only the layout: guarding, quoting and laying out records.
 
-``_TYPES`` holds one row per column type (see ``_Type``).  Reading has two
-paths: a vectorized one built on numpy's fixed-width bytes casts, and the
-per-field loop ``_column_slow`` that serves the types with no cast, the
-columns of a chunk that hold a quoted field (a quoted null spelling is a
-value) and NUL-bearing chunks.  When a column's one cast fails,
-``_cast_bulk`` casts it again in blocks of ``_BLOCK_ROWS`` rows, halves each
-failing block down to the cells it rejects, and runs the type's scalar
-``read`` on those cells only, so a calendar Timestamp cell still parses and
-an out-of-range integer still fails.  numpy's S-to-int64 cast applies
-Python ``int()`` semantics and its S-to-float64 cast matches the
-``np.float64`` scalar constructor, so the two paths accept the same grammar
-and produce bit-identical values; which path runs is purely a performance
-matter and never changes the result.  A Character column has no cast, but
-it needs none: its fields are joined, decoded once and split.
+``_TYPES`` holds one row per column type (see ``_Type``).  Every column is
+read in bulk, from numpy's fixed-width bytes casts.  When a column's one
+cast fails, ``_cast_bulk`` casts it again in blocks of ``_BLOCK_ROWS`` rows,
+halves each failing block down to the cells it rejects, and runs the type's
+scalar ``read`` on those cells only, so a calendar Timestamp cell still
+parses and an out-of-range integer still fails.  numpy's S-to-int64 cast
+applies Python ``int()`` semantics and its S-to-float64 cast matches the
+``np.float64`` scalar constructor, so the cast accepts exactly the scalar
+grammar and gives bit-identical values.  Complex has no cast (numpy's takes
+``(1+2j)`` and ``1+j``, which the scalar grammar does not), so that loop
+reads each of its non-null cells.  A Character column has no cast, but it
+needs none: its fields are joined, decoded once and split.  A quoted null
+spelling is a value: ``convert_column`` applies the quoted flags once, after
+the column is read.
 
 Before the casts, a numeric column gathered into an ``S8`` array, whose
 every field fits one 64-bit word, is read by word arithmetic
@@ -24,12 +24,11 @@ integers ``-?D+`` and the short decimals ``-?D*.D*`` it holds are folded by
 Lemire's eight-digit parse (Lemire, "Number Parsing at a Gigabyte per
 Second", SPE 2021), and only the fields it rejects go on to the casts.
 
-The one place the vectorized path would lie is NUL bytes: fixed-width bytes
-arrays silently strip trailing ``\\x00``.  Callers detect NULs once per chunk
-and pass ``bulk=False`` to force the scalar path for such (vanishingly rare)
-inputs.  The same holds for a column the caller has already gathered into an
-``S`` array (``frame._gather``): only NUL-free chunks are gathered, so the
-array's stripped padding is never part of a field.
+Fixed-width bytes arrays silently strip trailing ``\\x00``, so an ``S``
+array's fields must be NUL-free.  Only Character and Bytes read a NUL: the
+caller (``frame._convert``) hands a text column whose fields hold one over
+as a list, and blanks such a field in any other column and flags it as
+quoted, so that it fails.
 
 Writing spells a whole column as one byte block, with no Python object per
 cell (see :func:`spell_column`).  Integers, and reals whose every cell is a
@@ -407,21 +406,27 @@ def _word_bulk(fields: np.ndarray, lengths, row: _Type):
 
 
 def _cast_bulk(fields, row: _Type, lengths=None):
-    if lengths is not None and getattr(fields, "dtype", None) == "S8":
+    if (lengths is not None and row.cast_null is not None
+            and getattr(fields, "dtype", None) == "S8"):
         return _word_bulk(fields, lengths, row)
     a = _bytes_array(fields)
     mask = _null_mask(a)
-    if mask.any():
-        a = np.where(mask, np.bytes_(row.cast_null), a)
-    try:
-        return a.astype(row.dtype), mask, 0
-    except (ValueError, OverflowError):
-        pass
-    # cast again block by block, and read only the cells no cast takes
-    values = np.empty(len(a), row.dtype)
-    bad = []
-    for lo in range(0, len(a), _BLOCK_ROWS):
-        _cast_or_bisect(a, values, lo, min(lo + _BLOCK_ROWS, len(a)), bad)
+    if row.cast_null is None:
+        # no cast reads the type's grammar: each non-null cell is read alone
+        values = np.full(len(a), row.fill, row.dtype)
+        bad = np.flatnonzero(~mask).tolist()
+    else:
+        if mask.any():
+            a = np.where(mask, np.bytes_(row.cast_null), a)
+        try:
+            return a.astype(row.dtype), mask, 0
+        except (ValueError, OverflowError):
+            pass
+        # cast again block by block, and read only the cells no cast takes
+        values = np.empty(len(a), row.dtype)
+        bad = []
+        for lo in range(0, len(a), _BLOCK_ROWS):
+            _cast_or_bisect(a, values, lo, min(lo + _BLOCK_ROWS, len(a)), bad)
     failures = 0
     for i in bad:
         try:
@@ -448,7 +453,7 @@ def _cast_or_bisect(a, values, lo: int, hi: int, bad: list):
         _cast_or_bisect(a, values, mid, hi, bad)
 
 
-def _text_bulk(fields, ctype):
+def _text_bulk(fields, ctype, quoted):
     # one join, one decode and one split for the whole column; a field
     # holds no LF, and a UTF-8 sequence cannot run across one
     a = _bytes_array(fields)
@@ -465,37 +470,14 @@ def _text_bulk(fields, ctype):
     cells = (joined.decode("utf-8", "surrogateescape").split("\n")
              if ctype is ColumnType.CHARACTER else joined.split(b"\n"))
     mask = _null_mask(a)
+    if quoted is not None:
+        mask &= ~quoted
     for i in np.flatnonzero(mask).tolist():
         cells[i] = None
     return cells, mask, 0
 
 
-def _column_slow(fields, ctype, quoted):
-    row = _TYPES[ctype]
-    n = len(fields)
-    mask = np.zeros(n, dtype=np.bool_)
-    values = [row.fill] * n if row.dtype is None else np.full(n, row.fill, row.dtype)
-    read = row.read
-    failures = 0
-    for i, field in enumerate(fields):
-        if field in _NULL_TOKENS and (quoted is None or not quoted[i]):
-            mask[i] = True
-            continue
-        try:
-            values[i] = read(field)
-        except ValueError:
-            mask[i] = True
-            failures += 1
-    return values, mask, failures
-
-
-def convert_column(
-    fields,
-    ctype: ColumnType,
-    quoted: list | None = None,
-    bulk: bool = True,
-    lengths=None,
-):
+def convert_column(fields, ctype: ColumnType, quoted=None, lengths=None):
     """Coerce a column of raw fields to ``(values, mask, n_failures)``.
 
     ``fields`` is a list of bytes, or an ``S`` array of NUL-free fields.
@@ -503,22 +485,24 @@ def convert_column(
     ``values`` is a numpy array (Character and Bytes columns use Python lists
     instead), ``mask`` flags null slots, and ``n_failures`` counts malformed
     non-null fields.  Null slots hold a type-specific placeholder: False, 0,
-    NaN, NaN+NaNi, or None.  ``quoted`` (one flag per field) suppresses
-    null-token recognition for quoted fields; ``bulk=False`` forces the
-    scalar path.  ``lengths``, each field's byte count, lets the numeric
-    types read an ``S8`` array by word arithmetic (see :func:`_word_bulk`).
+    NaN, NaN+NaNi, or None.  ``quoted``, a bool array, flags the fields that
+    are never null: a quoted ``""`` or ``NA`` is a value, which Character
+    and Bytes columns read as it is and every other type fails.
+    ``lengths``, each field's byte count, lets the numeric types read an
+    ``S8`` array by word arithmetic (see :func:`_word_bulk`).
     """
-    if bulk and quoted is None:  # quoted fields opt out of null-token recognition
-        if ctype is ColumnType.LOGICAL:
-            return _logical_bulk(fields)
-        if ctype in (ColumnType.CHARACTER, ColumnType.BYTES):
-            return _text_bulk(fields, ctype)
-        row = _TYPES[ctype]
-        if row.cast_null is not None:
-            return _cast_bulk(fields, row, lengths)
-    if isinstance(fields, np.ndarray):
-        fields = fields.tolist()
-    return _column_slow(fields, ctype, quoted)
+    row = _TYPES[ctype]
+    if row.dtype is None:
+        return _text_bulk(fields, ctype, quoted)
+    if ctype is ColumnType.LOGICAL:
+        values, mask, failures = _logical_bulk(fields)
+    else:
+        values, mask, failures = _cast_bulk(fields, row, lengths)
+    if quoted is not None:
+        # read as nulls above, but no type here reads a null spelling
+        spelled = quoted & _null_mask(_bytes_array(fields))
+        failures += int(np.count_nonzero(spelled))
+    return values, mask, failures
 
 
 def spell_column(values, mask: np.ndarray, ctype: ColumnType):

@@ -23,9 +23,9 @@ read from one copy of the chunk without the quote bytes that open and close
 regions.  :func:`_gather` copies a column of fields straight into an ``S``
 array, with no Python object per field, so the memory a parse takes beyond
 its result is a fraction of its chunk, and a skipped column costs only its
-share of the scan.  Since an ``S`` array strips NULs, a NUL-bearing chunk's
-fields are ``bytes`` slices instead, and so are a quoted field's column's,
-which is read field by field because a quoted field is never null.
+share of the scan.  Since an ``S`` array strips NULs, :func:`_convert`
+finds the fields that hold one: a text column's are ``bytes`` slices
+instead, and any other column's are blanked and fail.
 """
 
 from __future__ import annotations
@@ -376,11 +376,11 @@ def _quote_mask(b: np.ndarray, ends: np.ndarray, sep: int, quote: int):
 
 
 def _gather(chunk: bytes, starts: np.ndarray, ends: np.ndarray):
-    """The fields ``chunk[s:e]`` as one ``S`` array, exact only for a
-    NUL-free chunk since an ``S`` array strips NULs.  Each field is copied as
-    whole 64-bit words from its start, and the words are masked past its end;
-    a field within a window of the chunk's end is copied from a padded copy
-    of that window.  When one long field would make that array over four
+    """The fields ``chunk[s:e]`` as one ``S`` array, exact only for
+    NUL-free fields since an ``S`` array strips NULs.  Each field is copied
+    as whole 64-bit words from its start, and the words are masked past its
+    end; a field within a window of the chunk's end is copied from a padded
+    copy of that window.  When one long field would make that array over four
     times the chunk, the fields come back as a list of ``bytes`` instead."""
     lens = ends - starts
     k = -(-int(lens.max(initial=0)) // 8) or 1  # words per field
@@ -408,6 +408,25 @@ def _slices(chunk: bytes, starts: np.ndarray, ends: np.ndarray) -> list:
     return [chunk[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
 
 
+def _convert(data: bytes, starts, ends, ctype: ColumnType, quoted=None):
+    """:func:`convert_column` of the fields ``data[s:e]``, gathered.  Only
+    Character and Bytes read a NUL, and an ``S`` array strips a trailing
+    one, so the fields that hold one are flagged as never null: a text
+    column is then sliced, and in any other they are blanked, so that they
+    fail."""
+    if b"\x00" in data:
+        nuls = np.flatnonzero(np.frombuffer(data, np.uint8) == 0)
+        held = np.searchsorted(nuls, ends) > np.searchsorted(nuls, starts)
+        if held.any():
+            quoted = held if quoted is None else quoted | held
+            if _TYPES[ctype].dtype is None:
+                return convert_column(_slices(data, starts, ends), ctype,
+                                      quoted)
+            ends = np.where(held, starts, ends)
+    return convert_column(_gather(data, starts, ends), ctype, quoted,
+                          ends - starts)
+
+
 def _uniform_arity(counts) -> int:
     """The field count every record shares, given each record's count (0
     without records); RaggedInput names the first record that differs."""
@@ -429,19 +448,13 @@ def _build_frame(chunk: bytes, schema: Schema):
     cols = None if len(kept) == n_cols else np.array(kept, np.intp)
     starts, ends, counts, data, quoted = _field_offsets(
         chunk, n_cols, schema.field_sep, cols, schema.quote)
-    bulk = b"\x00" not in chunk
     names = schema.out_names()
     columns = []
     failures = {}
     for k, j in enumerate(kept):
-        s, e = starts[:, k], ends[:, k]
-        # a quoted field is never null, so its column is read field by field
-        flags = (quoted[:, k].tolist() if quoted is not None
-                 and quoted[:, k].any() else None)
-        column = (_gather(data, s, e) if bulk and flags is None
-                  else _slices(data, s, e))
         ctype = schema.types[j]
-        values, mask, fails = convert_column(column, ctype, flags, bulk, e - s)
+        values, mask, fails = _convert(data, starts[:, k], ends[:, k], ctype,
+                                       None if quoted is None else quoted[:, k])
         columns.append(Column(names[k], ctype, values, mask))
         failures[names[k]] = fails
     report = ParseReport(len(counts), int(np.count_nonzero(counts < n_cols)),

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._coerce import _TYPES, ColumnType, convert_column
+from ._coerce import _TYPES, ColumnType
 from .errors import SchemaError
-from .frame import (_field_offsets, _gather, _record_blocks, _slices,
-                    _uniform_arity, check_layout)
+from .frame import (_convert, _field_offsets, _record_blocks, _uniform_arity,
+                    check_layout)
 
 __all__ = ["DenseMatrix", "parse_matrix"]
 
@@ -71,9 +71,6 @@ def parse_matrix(chunk: bytes, elem_type: ColumnType, field_sep: bytes = b","):
     dtype = _TYPES[elem_type].dtype or object
     if not chunk:
         return DenseMatrix(np.empty((0, 0), dtype)), 0
-    # an S array strips NULs, so a NUL-bearing chunk is read field by field
-    bulk = b"\x00" not in chunk
-    split = _gather if bulk else _slices
     # block by block, so that no per-field array outgrows a block
     n_rows = chunk.count(b"\n") + (not chunk.endswith(b"\n"))
     data, ncol, pos, counts, failures = None, None, 0, [], 0
@@ -82,9 +79,8 @@ def parse_matrix(chunk: bytes, elem_type: ColumnType, field_sep: bytes = b","):
         starts, ends, block_counts, _, _ = _field_offsets(block, ncol,
                                                           field_sep)
         ncol = starts.shape[1]
-        starts, ends = starts.ravel(), ends.ravel()
-        values, _mask, fails = convert_column(
-            split(block, starts, ends), elem_type, None, bulk, ends - starts)
+        values, _mask, fails = _convert(block, starts.ravel(), ends.ravel(),
+                                        elem_type)
         if data is None:
             data = np.empty(n_rows * ncol, dtype)
         data[pos:pos + len(values)] = values

@@ -10,6 +10,12 @@ import numpy as np
 
 from rowstream import Column, ColumnType, Frame, Schema, format_frame, parse_frame
 
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a test of minutes; deselect with -m 'not slow'")
+
+
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 

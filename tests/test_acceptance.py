@@ -350,6 +350,7 @@ def _median_seconds(parse, trials):
     return statistics.median(times), result
 
 
+@pytest.mark.slow
 def test_09_bulk_beats_naive():
     data = synthetic_csv(100_000_000)
     schema = Schema((ColumnType.INTEGER, ColumnType.REAL,

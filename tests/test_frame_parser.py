@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,13 +20,14 @@ from rowstream import (
     parse_frame_with_header,
     parse_matrix,
 )
+import rowstream._coerce
 import rowstream.frame
-from rowstream._coerce import _column_slow, convert_column
+from rowstream._coerce import convert_column
 from rowstream.frame import _SAMPLE_RECORDS, _field_offsets, _gather
 
-from oracle import (_naive_split_fields, airline_csv, concat_frames,
-                    naive_infer_schema, naive_parse_frame, naive_parse_matrix,
-                    parse_field_ex, synthetic_csv)
+from oracle import (_DTYPE, _FILL, _naive_split_fields, airline_csv,
+                    concat_frames, naive_infer_schema, naive_parse_frame,
+                    naive_parse_matrix, parse_field_ex, synthetic_csv)
 
 L = ColumnType.LOGICAL
 I = ColumnType.INTEGER
@@ -376,15 +378,26 @@ ADVERSARIAL_NUMERIC = [
 ]
 
 
+def _read_cells(cells, ctype):
+    """``(values, mask, failures)`` of a column read cell by cell with
+    ``parse_field_ex``."""
+    read = [parse_field_ex(c, ctype) for c in cells]
+    mask = np.array([value is None for value, _ in read], np.bool_)
+    values = np.array([_FILL[ctype] if value is None else value
+                       for value, _ in read], _DTYPE[ctype])
+    return values, mask, sum(failed for _, failed in read)
+
+
 @pytest.mark.parametrize("ctype", [L, I, R, X, T])
 def test_bulk_and_scalar_paths_agree(ctype):
-    """The vectorized converters must accept exactly the scalar grammar."""
+    """The vectorized converters must accept exactly the reference's
+    grammar."""
     fields = ADVERSARIAL_NUMERIC + [
         b"1", b"2.5", b"-3", b"NA", b"", b"TRUE", b"F", b"1e300", b"5e-324",
         b"9223372036854775807", b"-9223372036854775808", b"9223372036854775808",
     ]
-    fast = convert_column(list(fields), ctype, bulk=True)
-    slow = convert_column(list(fields), ctype, bulk=False)
+    fast = convert_column(list(fields), ctype)
+    slow = _read_cells(fields, ctype)
     assert fast[1].tolist() == slow[1].tolist()  # masks
     assert fast[2] == slow[2]  # failure count
     fv, sv = fast[0], slow[0]
@@ -442,15 +455,15 @@ def _column_with_bad_cells(draw):
 @settings(max_examples=400, deadline=None)
 @given(_column_with_bad_cells())
 def test_bad_cell_search_matches_the_whole_column_reread(drawn):
-    """The bulk cast's search for bad cells gives what re-reading the whole
-    column cell by cell gives: bit-identical values, equal masks and
-    failure counts."""
+    """The bulk cast's search for bad cells gives what reading the whole
+    column cell by cell with the reference gives: bit-identical values,
+    equal masks and failure counts."""
     ctype, cells = drawn
     data = b"\n".join(cells) + b"\n"
     starts, ends, *_ = _field_offsets(data, 1, b",")
     gathered = _gather(data, starts[:, 0], ends[:, 0])
     values, mask, failures = convert_column(gathered, ctype)
-    ref_values, ref_mask, ref_failures = _column_slow(cells, ctype, None)
+    ref_values, ref_mask, ref_failures = _read_cells(cells, ctype)
     assert failures == ref_failures
     assert mask.tolist() == ref_mask.tolist()
     assert values.dtype == ref_values.dtype
@@ -590,29 +603,97 @@ def test_scan_reads_quotes_as_the_reference_does(data, schema, values):
     assert frame.columns[1].values == values
 
 
-@pytest.mark.parametrize("ctype", [I, R, L, C])
+@pytest.mark.parametrize("ctype", [I, R, L, C, X, T, B])
 def test_quoted_null_spellings_are_values(ctype):
-    # a quoted "" or "NA" is never null: a character column reads it as a
-    # string, and any other type fails it
+    # a quoted "" or "NA" is never null: a text column reads it as it is,
+    # and any other type fails it
     data = b'"",x\n"NA",y\nNA,z\n,w\n'
     frame, report = _scan_agrees(data, Schema((ctype, C), quote=b'"'))
-    assert frame.columns[0].mask.tolist() == [ctype is not C] * 2 + [True] * 2
-    assert report.column_failures["V1"] == (0 if ctype is C else 2)
-    if ctype is C:
-        assert frame.columns[0].values == ["", "NA", None, None]
+    text = ctype in (C, B)
+    assert frame.columns[0].mask.tolist() == [not text] * 2 + [True] * 2
+    assert report.column_failures["V1"] == (0 if text else 2)
+    if text:
+        spelled = ["", "NA"] if ctype is C else [b"", b"NA"]
+        assert frame.columns[0].values == spelled + [None, None]
 
 
-@pytest.mark.parametrize("data", [b"1,a\x00b\n2,c\x00\n",
-                                  b"\x00,1\n2,\x00\n"])
-def test_nul_cells_read_as_the_reference_does(data):
+def _nul_records(quoted: bool) -> bytes:
+    """120 records of Integer, Real, Logical and Timestamp cells, short
+    enough for the word reader, with ``1\\x002`` mid-column, NUL-padded
+    null and logical spellings, a bad cell that sends each column to the
+    bisection, and ``7\\x00`` in the last record; ``quoted`` adds a
+    Character column of quoted cells, a NUL-bearing one among them."""
+    text = [b'"a b"', b'""', b'"NA"', b"NA"]
+    rows = []
+    for i in range(120):
+        cells = [b"%d" % i, b"%d.25" % i, b"T" if i % 2 else b"F",
+                 b"%d.5" % i]
+        if i in (50, 70, 90, 119):
+            cells = {50: [b"1\x002"] * 4, 70: [b"x"] * 4,
+                     90: [b"NA\x00", b"\x00", b"T\x00", b"NA\x00"],
+                     119: [b"7\x00"] * 4}[i]
+        if quoted:
+            cells.append(b'"q\x00"' if i == 50 else text[i % 4])
+        rows.append(b",".join(cells))
+    return b"\n".join(rows) + b"\n"
+
+
+@pytest.mark.parametrize("data", [
+    b"1,a\x00b\n2,c\x00\n", b"\x00,1\n2,\x00\n",
+    pytest.param(_nul_records(False), id="120-numeric"),
+    pytest.param(_nul_records(True), id="120-numeric-quoted-character"),
+])
+def test_nul_cells_read_as_the_reference_does(monkeypatch, data):
     # a NUL inside a cell and at its end: an S array would strip the latter
-    for ctype in (C, I):
+    ran = Counter()
+    for name in ("_gather", "_word_bulk", "_cast_or_bisect"):
+        module = rowstream.frame if name == "_gather" else rowstream._coerce
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real:
+                            ran.update([_n]) or _f(*a))
+    for ctype in (C, I, R, L):
         matrix, failures = parse_matrix(data, ctype)
         ref_values, ref_failures = naive_parse_matrix(data, ctype)
-        assert matrix.values.tolist() == ref_values.tolist()
+        np.testing.assert_array_equal(matrix.values, ref_values)
         assert failures == ref_failures
     assert infer_schema(data).types == naive_infer_schema(data).types
-    _scan_agrees(data, Schema((C, B)))
+    ncol = data.split(b"\n", 1)[0].count(b",") + 1
+    types = (C, B) if ncol == 2 else (I, R, L, T, C)[:ncol]
+    _scan_agrees(data, Schema(types, quote=b'"' if b'"' in data else None))
+    if len(data) > 1000:
+        assert ran["_gather"] and ran["_word_bulk"] and ran["_cast_or_bisect"]
+
+
+_COMPLEX_CELLS = [b"(1+2i)", b"1+2I", b"1+i", b"i", b" 1+2i", b"1_0+2i",
+                  b"nan+nani", b"NA", b"", b'""', b'"1+2i"', b"1+2j", b"2i"]
+
+
+@st.composite
+def _complex_column(draw):
+    n = draw(st.sampled_from([1, 63, 64, 65]) | st.integers(1, 300))
+    part = st.floats().map(lambda f: repr(f).encode())
+    imag = part.map(lambda b: b.lstrip(b"-") + b"i")
+    cell = st.one_of(
+        part,  # a real
+        imag,  # bi
+        st.builds(lambda a, sign, b: a + sign + b, part,
+                  st.sampled_from([b"+", b"-"]), imag),  # a+bi, a-bi
+        st.sampled_from(_COMPLEX_CELLS),
+    )
+    return draw(st.lists(cell, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_column())
+def test_complex_cells_read_as_the_reference_does(cells):
+    """Complex has no cast: each non-null cell goes to its scalar read,
+    quoted ones included, in frames and matrices alike."""
+    data = b"\n".join(cells) + b"\n"
+    _scan_agrees(data, Schema((X,), quote=b'"'))
+    matrix, failures = parse_matrix(data, X)
+    ref_values, ref_failures = naive_parse_matrix(data, X)
+    assert matrix.values.tobytes() == ref_values.tobytes()
+    assert failures == ref_failures
 
 
 @settings(max_examples=300, deadline=None)
@@ -661,6 +742,9 @@ def test_parse_is_deterministic(tokens, ctype):
         (R, b"1e400", np.inf),
         (L, b"T", True), (L, b"TRUE", True), (L, b"F", False),
         (L, b"FALSE", False), (L, b"true", None), (L, b"1", None),
+        (X, b"1_0+2i", 10 + 2j), (X, b"2i", 2j), (X, b"(1+2i)", None),
+        (X, b"1+2j", None), (X, b"1+i", None), (X, b"i", None),
+        (I, b"1\x002", None), (I, b"7\x00", None), (L, b"T\x00", None),
     ],
 )
 def test_readme_cell_grammar_on_both_paths(ctype, cell, expected):

@@ -33,7 +33,8 @@ from oracle import naive_parse_frame
 
 _CELLS = [b"1", b"2.5", b"NA", b"", b'"a,b"', b'"q""q"', b'"', b"\r",
           b"\x00", b"x", b"TRUE", b"-123456789012345678", b"caf\xc3\xa9",
-          b"\xe2\x82", b"\xff", b"'p\tq'", b"'it''s'", b'"r\rs"', b"'"]
+          b"\xe2\x82", b"\xff", b"'p\tq'", b"'it''s'", b'"r\rs"', b"'",
+          b"1+2i", b"(1+2i)", b"1\x002", b"7\x00", b'""', b'"NA"']
 
 
 @settings(max_examples=500, deadline=None)
