@@ -28,7 +28,9 @@ Fixed-width bytes arrays silently strip trailing ``\\x00``, so an ``S``
 array's fields must be NUL-free.  Only Character and Bytes read a NUL: the
 caller (``frame._convert``) hands a text column whose fields hold one over
 as a list, and blanks such a field in any other column and flags it as
-quoted, so that it fails.
+quoted, so that it fails.  A column with one field too long to widen every
+field to also comes as a list; no array is made as wide as that field, and
+the bad-cell loop reads it.
 
 Writing spells a whole column as one byte block, with no Python object per
 cell (see :func:`spell_column`).  Integers, and reals whose every cell is a
@@ -323,19 +325,21 @@ _TYPES = {
 
 
 def _bytes_array(fields) -> np.ndarray:
-    # a gathered S array is used as it is; a list is copied into one
-    if isinstance(fields, np.ndarray):
-        a = fields
-    else:
-        a = np.array(fields, dtype="S") if fields else np.empty(0, dtype="S1")
-    if a.dtype.itemsize < 3:
-        # wide enough to hold the b"0"/b"nan" placeholders written below
-        a = a.astype("S3")
-    return a
+    # a gathered S array is used as it is; a list is copied into one, but a
+    # field too long to widen every field to (see frame._gather) is copied
+    # as b"?", which no cast or token reads, so it is read from the list
+    if isinstance(fields, list):
+        cap = max(4 * sum(map(len, fields)) // max(len(fields), 1), 8)
+        fields = np.array([f if len(f) <= cap else b"?" for f in fields], "S")
+    # wide enough to hold the b"0"/b"nan" placeholders written below
+    return fields.astype("S3") if fields.dtype.itemsize < 3 else fields
 
 
-def _null_mask(a: np.ndarray) -> np.ndarray:
-    return (a == _NULL_TOKENS[0]) | (a == _NULL_TOKENS[1])
+def _null_mask(fields) -> np.ndarray:
+    if isinstance(fields, list):  # with no array as wide as its longest
+        return np.fromiter((f in _NULL_TOKENS for f in fields), np.bool_,
+                           len(fields))
+    return (fields == _NULL_TOKENS[0]) | (fields == _NULL_TOKENS[1])
 
 
 def _logical_bulk(fields):
@@ -456,20 +460,20 @@ def _cast_or_bisect(a, values, lo: int, hi: int, bad: list):
 def _text_bulk(fields, ctype, quoted):
     # one join, one decode and one split for the whole column; a field
     # holds no LF, and a UTF-8 sequence cannot run across one
-    a = _bytes_array(fields)
-    if not len(a):
+    n = len(fields)
+    if not n:
         return [], np.zeros(0, np.bool_), 0
     if isinstance(fields, np.ndarray):
         # joined straight from the array, with no bytes object per field:
         # its NULs are all padding
-        u = np.full((len(a), a.dtype.itemsize + 1), 10, np.uint8)
-        u[:, :-1] = a.view(np.uint8).reshape(len(a), -1)
+        u = np.full((n, fields.dtype.itemsize + 1), 10, np.uint8)
+        u[:, :-1] = fields.view(np.uint8).reshape(n, -1)
         joined = u[u != 0][:-1].tobytes()
     else:
         joined = b"\n".join(fields)
     cells = (joined.decode("utf-8", "surrogateescape").split("\n")
              if ctype is ColumnType.CHARACTER else joined.split(b"\n"))
-    mask = _null_mask(a)
+    mask = _null_mask(fields)
     if quoted is not None:
         mask &= ~quoted
     for i in np.flatnonzero(mask).tolist():
@@ -500,7 +504,7 @@ def convert_column(fields, ctype: ColumnType, quoted=None, lengths=None):
         values, mask, failures = _cast_bulk(fields, row, lengths)
     if quoted is not None:
         # read as nulls above, but no type here reads a null spelling
-        spelled = quoted & _null_mask(_bytes_array(fields))
+        spelled = quoted & _null_mask(fields)
         failures += int(np.count_nonzero(spelled))
     return values, mask, failures
 

@@ -216,14 +216,10 @@ def _skip_records(chunk: bytes, n: int):
     An unterminated final record counts as a record."""
     if n < 0:
         raise ValueError("skip must be non-negative")
-    dropped = 0
-    pos = 0
+    dropped = pos = 0
     while dropped < n and pos < len(chunk):
-        j = chunk.find(b"\n", pos)
-        if j == -1:
-            return b"", dropped + 1
+        pos = chunk.find(b"\n", pos) + 1 or len(chunk)
         dropped += 1
-        pos = j + 1
     return chunk[pos:], dropped
 
 
@@ -408,21 +404,31 @@ def _slices(chunk: bytes, starts: np.ndarray, ends: np.ndarray) -> list:
     return [chunk[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
 
 
-def _convert(data: bytes, starts, ends, ctype: ColumnType, quoted=None):
-    """:func:`convert_column` of the fields ``data[s:e]``, gathered.  Only
-    Character and Bytes read a NUL, and an ``S`` array strips a trailing
-    one, so the fields that hold one are flagged as never null: a text
-    column is then sliced, and in any other they are blanked, so that they
-    fail."""
-    if b"\x00" in data:
-        nuls = np.flatnonzero(np.frombuffer(data, np.uint8) == 0)
-        held = np.searchsorted(nuls, ends) > np.searchsorted(nuls, starts)
-        if held.any():
-            quoted = held if quoted is None else quoted | held
-            if _TYPES[ctype].dtype is None:
-                return convert_column(_slices(data, starts, ends), ctype,
-                                      quoted)
-            ends = np.where(held, starts, ends)
+def _nuls(data: bytes):
+    """The positions of the NUL bytes in ``data``, or None if it has none."""
+    return (np.flatnonzero(np.frombuffer(data, np.uint8) == 0)
+            if b"\x00" in data else None)
+
+
+def _holds_nul(nuls, starts, ends):
+    """Flags the fields ``data[s:e]`` holding a NUL, given ``_nuls(data)``."""
+    if nuls is None:
+        return np.zeros(len(starts), np.bool_)
+    return np.searchsorted(nuls, ends) > np.searchsorted(nuls, starts)
+
+
+def _convert(data: bytes, starts, ends, ctype: ColumnType, quoted, nuls):
+    """:func:`convert_column` of the fields ``data[s:e]``, gathered, given
+    ``_nuls(data)``.  Only Character and Bytes read a NUL, and an ``S`` array
+    strips a trailing one, so the fields that hold one are flagged as never
+    null: a text column is then sliced, and in any other they are blanked,
+    so that they fail."""
+    held = _holds_nul(nuls, starts, ends)
+    if held.any():
+        quoted = held if quoted is None else quoted | held
+        if _TYPES[ctype].dtype is None:
+            return convert_column(_slices(data, starts, ends), ctype, quoted)
+        ends = np.where(held, starts, ends)
     return convert_column(_gather(data, starts, ends), ctype, quoted,
                           ends - starts)
 
@@ -436,9 +442,8 @@ def _uniform_arity(counts) -> int:
     bad = np.flatnonzero(counts != counts[0])
     if len(bad):
         i = bad[0]
-        raise RaggedInput(
-            f"record {i} has {counts[i]} fields, record 0 has {counts[0]}"
-        )
+        raise RaggedInput(f"record {i} has {counts[i]} fields, "
+                          f"record 0 has {counts[0]}")
     return int(counts[0])
 
 
@@ -449,12 +454,15 @@ def _build_frame(chunk: bytes, schema: Schema):
     starts, ends, counts, data, quoted = _field_offsets(
         chunk, n_cols, schema.field_sep, cols, schema.quote)
     names = schema.out_names()
+    nuls = _nuls(data)
     columns = []
     failures = {}
     for k, j in enumerate(kept):
         ctype = schema.types[j]
+        flags = (quoted[:, k] if quoted is not None and quoted[:, k].any()
+                 else None)
         values, mask, fails = _convert(data, starts[:, k], ends[:, k], ctype,
-                                       None if quoted is None else quoted[:, k])
+                                       flags, nuls)
         columns.append(Column(names[k], ctype, values, mask))
         failures[names[k]] = fails
     report = ParseReport(len(counts), int(np.count_nonzero(counts < n_cols)),
@@ -526,32 +534,26 @@ def infer_schema(sample: bytes, field_sep: bytes = b",") -> Schema:
     field count raise RaggedInput.
     """
     check_layout(field_sep)
-    end = 0
-    for _ in range(_SAMPLE_RECORDS):
-        end = sample.find(b"\n", end) + 1
-        if not end:
-            end = len(sample)
-            break
-    head = sample[:end]
+    head = sample[:len(sample) - len(_skip_records(sample, _SAMPLE_RECORDS)[0])]
     starts, ends, counts, _, _ = _field_offsets(head, None, field_sep)
     if not len(counts):
         raise SchemaError("cannot infer a schema from an empty sample")
-    split = _gather if b"\x00" not in head else _slices
-    columns = [split(head, starts[:, j], ends[:, j])
-               for j in range(_uniform_arity(counts))]
-    return Schema(types=tuple(map(_infer_column, columns)),
-                  field_sep=field_sep)
+    nuls = _nuls(head)
+    types = []
+    for j in range(_uniform_arity(counts)):
+        s, e = starts[:, j], ends[:, j]
+        # no type but Character reads a NUL
+        types.append(ColumnType.CHARACTER if _holds_nul(nuls, s, e).any()
+                     else _infer_column(_gather(head, s, e)))
+    return Schema(types=tuple(types), field_sep=field_sep)
 
 
 def _infer_column(fields) -> ColumnType:
     """The type :func:`infer_schema` gives a column: ``fields`` is an ``S``
     array of NUL-free cells, which each candidate type reads with one cast,
-    or a list of bytes, which it reads a cell at a time."""
+    or a list of bytes holding a cell too long to widen every cell to, which
+    it reads a cell at a time."""
     if isinstance(fields, list):
-        if any(b"\x00" in f for f in fields):
-            return ColumnType.CHARACTER  # no other type reads a NUL
-        # a list holds a cell too long to widen every cell to, or comes
-        # from a NUL-bearing sample
         cells = [np.array([f]) for f in fields if not is_null_token(f)]
     else:
         cells = [fields[~_null_mask(fields)]]

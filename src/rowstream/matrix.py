@@ -14,8 +14,8 @@ import numpy as np
 
 from ._coerce import _TYPES, ColumnType
 from .errors import SchemaError
-from .frame import (_convert, _field_offsets, _record_blocks, _uniform_arity,
-                    check_layout)
+from .frame import (_convert, _field_offsets, _nuls, _record_blocks,
+                    _uniform_arity, check_layout)
 
 __all__ = ["DenseMatrix", "parse_matrix"]
 
@@ -80,7 +80,7 @@ def parse_matrix(chunk: bytes, elem_type: ColumnType, field_sep: bytes = b","):
                                                           field_sep)
         ncol = starts.shape[1]
         values, _mask, fails = _convert(block, starts.ravel(), ends.ravel(),
-                                        elem_type)
+                                        elem_type, None, _nuls(block))
         if data is None:
             data = np.empty(n_rows * ncol, dtype)
         data[pos:pos + len(values)] = values

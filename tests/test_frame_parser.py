@@ -501,6 +501,7 @@ def test_offset_path_takes_a_64k_field(n_records):
     assert frames_equal(frame, ref_frame) and report == ref_report
     assert frame.columns[1].values[1] == 5.0
     assert frame.columns[2].values[1] == "\u00e9" * 32768
+    assert infer_schema(data) == naive_infer_schema(data)
 
 
 def test_offset_path_takes_an_unterminated_last_record():
@@ -803,6 +804,31 @@ def test_quoted_parse_holds_a_few_chunks():
         tracemalloc.stop()
     assert frame.n_rows == chunk.count(b"\n") and report.total_failures == 0
     assert peak < 8 * len(chunk), peak / len(chunk)
+
+
+@pytest.mark.parametrize("ctype", [C, I, R])
+@pytest.mark.parametrize("kind", ["quoted", "nul"])
+def test_one_long_cell_is_not_a_column_width(kind, ctype):
+    # one 50 KB cell in 4,000 short records: widening every cell of its
+    # column to it would take 200 MB, about 2,000 chunks
+    cell = b"w%d" if ctype is C else b"%d"
+    recs = [b"%d," % i + cell % i for i in range(4000)]
+    long = b"1" * 50_000  # Integer fails it, Real reads inf
+    if kind == "quoted":
+        recs[7], recs[2000] = b'"7","NA"', b'1,"%s"' % long
+    else:
+        recs[7], recs[2000] = b"7\x00,7\x00", b"1," + long
+    chunk = b"\n".join(recs) + b"\n"
+    schema = Schema((I, ctype), quote=b'"')
+    tracemalloc.start()
+    try:
+        got = parse_frame(chunk, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = naive_parse_frame(chunk, schema)
+    assert frames_equal(got[0], want[0]) and got[1] == want[1]
+    assert peak < 16 * len(chunk), peak / len(chunk)
 
 
 def test_int64_offsets_parse_the_same(monkeypatch):
