@@ -442,8 +442,9 @@ def _uniform_arity(counts) -> int:
     bad = np.flatnonzero(counts != counts[0])
     if len(bad):
         i = bad[0]
-        raise RaggedInput(f"record {i} has {counts[i]} fields, "
-                          f"record 0 has {counts[0]}")
+        raise RaggedInput(
+            f"record {i} has {counts[i]} fields, record 0 has {counts[0]}"
+        )
     return int(counts[0])
 
 
