@@ -13,9 +13,7 @@ applies Python ``int()`` semantics and its S-to-float64 cast matches the
 grammar and gives bit-identical values.  Complex has no cast (numpy's takes
 ``(1+2j)`` and ``1+j``, which the scalar grammar does not), so that loop
 reads each of its non-null cells.  A Character column has no cast, but it
-needs none: its fields are joined, decoded once and split.  A quoted null
-spelling is a value: ``convert_column`` applies the quoted flags once, after
-the column is read.
+needs none: its fields are joined, decoded once and split.
 
 Before the casts, a numeric column gathered into an ``S8`` array, whose
 every field fits one 64-bit word, is read by word arithmetic
@@ -24,13 +22,13 @@ integers ``-?D+`` and the short decimals ``-?D*.D*`` it holds are folded by
 Lemire's eight-digit parse (Lemire, "Number Parsing at a Gigabyte per
 Second", SPE 2021), and only the fields it rejects go on to the casts.
 
-Fixed-width bytes arrays silently strip trailing ``\\x00``, so an ``S``
-array's fields must be NUL-free.  Only Character and Bytes read a NUL: the
-caller (``frame._convert``) hands a text column whose fields hold one over
-as a list, and blanks such a field in any other column and flags it as
-quoted, so that it fails.  A column with one field too long to widen every
-field to also comes as a list; no array is made as wide as that field, and
-the bad-cell loop reads it.
+A column comes as one ``S`` array plus ``wide``, the fields the array
+cannot hold exactly, each with an empty slot (see ``frame._gather``): one
+with a NUL, which an ``S`` array strips, one too long to widen every field
+to, and a quoted null spelling.  Every bulk reader reads those slots as
+nulls, and ``convert_column`` then reads each ``wide`` field with its
+type's ``read``, which only Character and Bytes pass for a NUL, ``""`` or
+``NA``.
 
 Writing spells a whole column as one byte block, with no Python object per
 cell (see :func:`spell_column`).  Integers, and reals whose every cell is a
@@ -324,21 +322,12 @@ _TYPES = {
 }
 
 
-def _bytes_array(fields) -> np.ndarray:
-    # a gathered S array is used as it is; a list is copied into one, but a
-    # field too long to widen every field to (see frame._gather) is copied
-    # as b"?", which no cast or token reads, so it is read from the list
-    if isinstance(fields, list):
-        cap = max(4 * sum(map(len, fields)) // max(len(fields), 1), 8)
-        fields = np.array([f if len(f) <= cap else b"?" for f in fields], "S")
+def _bytes_array(fields: np.ndarray) -> np.ndarray:
     # wide enough to hold the b"0"/b"nan" placeholders written below
     return fields.astype("S3") if fields.dtype.itemsize < 3 else fields
 
 
-def _null_mask(fields) -> np.ndarray:
-    if isinstance(fields, list):  # with no array as wide as its longest
-        return np.fromiter((f in _NULL_TOKENS for f in fields), np.bool_,
-                           len(fields))
+def _null_mask(fields: np.ndarray) -> np.ndarray:
     return (fields == _NULL_TOKENS[0]) | (fields == _NULL_TOKENS[1])
 
 
@@ -411,7 +400,7 @@ def _word_bulk(fields: np.ndarray, lengths, row: _Type):
 
 def _cast_bulk(fields, row: _Type, lengths=None):
     if (lengths is not None and row.cast_null is not None
-            and getattr(fields, "dtype", None) == "S8"):
+            and fields.dtype == "S8"):
         return _word_bulk(fields, lengths, row)
     a = _bytes_array(fields)
     mask = _null_mask(a)
@@ -457,55 +446,56 @@ def _cast_or_bisect(a, values, lo: int, hi: int, bad: list):
         _cast_or_bisect(a, values, mid, hi, bad)
 
 
-def _text_bulk(fields, ctype, quoted):
-    # one join, one decode and one split for the whole column; a field
-    # holds no LF, and a UTF-8 sequence cannot run across one
+def _text_bulk(fields: np.ndarray, ctype):
+    # one join, one decode and one split for the whole column, joined
+    # straight from the array with no bytes object per field: its NULs are
+    # all padding, a field holds no LF, and a UTF-8 sequence cannot run
+    # across one
     n = len(fields)
     if not n:
         return [], np.zeros(0, np.bool_), 0
-    if isinstance(fields, np.ndarray):
-        # joined straight from the array, with no bytes object per field:
-        # its NULs are all padding
-        u = np.full((n, fields.dtype.itemsize + 1), 10, np.uint8)
-        u[:, :-1] = fields.view(np.uint8).reshape(n, -1)
-        joined = u[u != 0][:-1].tobytes()
-    else:
-        joined = b"\n".join(fields)
+    u = np.full((n, fields.dtype.itemsize + 1), 10, np.uint8)
+    u[:, :-1] = fields.view(np.uint8).reshape(n, -1)
+    joined = u[u != 0][:-1].tobytes()
     cells = (joined.decode("utf-8", "surrogateescape").split("\n")
              if ctype is ColumnType.CHARACTER else joined.split(b"\n"))
     mask = _null_mask(fields)
-    if quoted is not None:
-        mask &= ~quoted
     for i in np.flatnonzero(mask).tolist():
         cells[i] = None
     return cells, mask, 0
 
 
-def convert_column(fields, ctype: ColumnType, quoted=None, lengths=None):
+def convert_column(fields: np.ndarray, ctype: ColumnType, lengths=None,
+                   wide=None):
     """Coerce a column of raw fields to ``(values, mask, n_failures)``.
 
-    ``fields`` is a list of bytes, or an ``S`` array of NUL-free fields.
+    ``fields`` is an ``S`` array of NUL-free fields, and ``wide`` maps the
+    index of each field it cannot hold to that field's bytes: a field with
+    a NUL, one too long to widen the array to, or a quoted null spelling,
+    which is a value.  Its slot in ``fields`` is empty.  The array is read
+    in bulk, where each ``wide`` slot reads as a null, and then each
+    ``wide`` field is read alone, as a value or a failure: only Character
+    and Bytes read a NUL, ``""`` or ``NA``.  ``lengths``, each field's byte
+    count, lets the numeric types read an ``S8`` array by word arithmetic
+    (see :func:`_word_bulk`).
 
     ``values`` is a numpy array (Character and Bytes columns use Python lists
     instead), ``mask`` flags null slots, and ``n_failures`` counts malformed
     non-null fields.  Null slots hold a type-specific placeholder: False, 0,
-    NaN, NaN+NaNi, or None.  ``quoted``, a bool array, flags the fields that
-    are never null: a quoted ``""`` or ``NA`` is a value, which Character
-    and Bytes columns read as it is and every other type fails.
-    ``lengths``, each field's byte count, lets the numeric types read an
-    ``S8`` array by word arithmetic (see :func:`_word_bulk`).
+    NaN, NaN+NaNi, or None.
     """
     row = _TYPES[ctype]
     if row.dtype is None:
-        return _text_bulk(fields, ctype, quoted)
-    if ctype is ColumnType.LOGICAL:
+        values, mask, failures = _text_bulk(fields, ctype)
+    elif ctype is ColumnType.LOGICAL:
         values, mask, failures = _logical_bulk(fields)
     else:
         values, mask, failures = _cast_bulk(fields, row, lengths)
-    if quoted is not None:
-        # read as nulls above, but no type here reads a null spelling
-        spelled = quoted & _null_mask(fields)
-        failures += int(np.count_nonzero(spelled))
+    for i, cell in (wide or {}).items():
+        try:
+            values[i], mask[i] = row.read(cell), False
+        except ValueError:
+            failures += 1
     return values, mask, failures
 
 

@@ -23,9 +23,9 @@ read from one copy of the chunk without the quote bytes that open and close
 regions.  :func:`_gather` copies a column of fields straight into an ``S``
 array, with no Python object per field, so the memory a parse takes beyond
 its result is a fraction of its chunk, and a skipped column costs only its
-share of the scan.  Since an ``S`` array strips NULs, :func:`_convert`
-finds the fields that hold one: a text column's are ``bytes`` slices
-instead, and any other column's are blanked and fail.
+share of the scan.  The few fields that array cannot hold exactly (a NUL,
+a field too long to widen every field to, a quoted null spelling) are
+handed over beside it, and ``convert_column`` reads each alone.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Union
 import numpy as np
 
 from ._coerce import (_TYPES, ColumnType, _logical_bulk, _null_mask,
-                     convert_column, is_null_token)
+                     convert_column)
 from .errors import (
     HeaderArityMismatch,
     MissingColumn,
@@ -371,66 +371,55 @@ def _quote_mask(b: np.ndarray, ends: np.ndarray, sep: int, quote: int):
     return np.delete(ends, inside), lost
 
 
-def _gather(chunk: bytes, starts: np.ndarray, ends: np.ndarray):
-    """The fields ``chunk[s:e]`` as one ``S`` array, exact only for
-    NUL-free fields since an ``S`` array strips NULs.  Each field is copied
-    as whole 64-bit words from its start, and the words are masked past its
-    end; a field within a window of the chunk's end is copied from a padded
-    copy of that window.  When one long field would make that array over four
-    times the chunk, the fields come back as a list of ``bytes`` instead."""
+def _gather(data: bytes, starts: np.ndarray, ends: np.ndarray, nuls=None,
+            quoted=None):
+    """``(fields, lengths, wide)``: the fields ``data[s:e]`` as one ``S``
+    array, their byte counts, and ``wide``, which maps the index of each
+    field the array cannot hold exactly to its bytes and leaves its slot
+    empty.  Those are a field holding a NUL, given ``_nuls(data)``, since
+    an ``S`` array strips a trailing one; a field too long to widen every
+    field to without making the array over four times ``data``; and a
+    field flagged ``quoted`` and spelled like a null, which is a value.
+    Each field is copied as whole 64-bit words from its start, and the
+    words are masked past its end; a field within a window of the end of
+    ``data`` is copied from a padded copy of that window."""
     lens = ends - starts
-    k = -(-int(lens.max(initial=0)) // 8) or 1  # words per field
-    if len(starts) * 8 * k > 4 * len(chunk):
-        return _slices(chunk, starts, ends)
-    width = 8 * k
-    cut = max(len(chunk) + 1 - width, 0)  # a window from here on runs past
-    tail = np.ndarray((len(chunk) + 1 - cut,), dtype=f"S{width}",
-                      buffer=chunk[cut:] + bytes(width), strides=(1,))
+    longest = int(lens.max(initial=0))
+    # the width, in whole 64-bit words, that every field may be widened to
+    # while the array stays within four times data
+    cap = max(4 * len(data) // max(len(lens), 1) // 8 * 8, 8)
+    odd = lens > cap if longest > cap else False
+    if nuls is not None:
+        odd = odd | (np.searchsorted(nuls, ends)
+                     > np.searchsorted(nuls, starts))
+    if np.any(odd):
+        lens = np.where(odd, 0, lens)
+        longest = int(lens.max())
+    width = max(-(-longest // 8) * 8, 8)
+    cut = max(len(data) + 1 - width, 0)  # a window from here on runs past
+    tail = np.ndarray((len(data) + 1 - cut,), dtype=f"S{width}",
+                      buffer=data[cut:] + bytes(width), strides=(1,))
     if cut:
-        windows = np.ndarray((cut,), dtype=f"S{width}", buffer=chunk,
+        windows = np.ndarray((cut,), dtype=f"S{width}", buffer=data,
                              strides=(1,))
         fields = windows[np.minimum(starts, cut - 1)]
         late = np.flatnonzero(starts >= cut)
         fields[late] = tail[starts[late] - cut]
     else:
         fields = tail[starts]
-    words = fields.view("<u8").reshape(len(fields), k)
-    words &= _BYTE_MASKS[np.clip(lens - 8 * np.arange(k)[:, None], 0, 8)].T
-    return fields
-
-
-def _slices(chunk: bytes, starts: np.ndarray, ends: np.ndarray) -> list:
-    """The fields ``chunk[s:e]`` as a list of ``bytes``, NULs and all."""
-    return [chunk[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+    words = fields.view("<u8").reshape(len(fields), width // 8)
+    words &= _BYTE_MASKS[np.clip(lens - np.arange(0, width, 8)[:, None],
+                                 0, 8)].T
+    if quoted is not None:
+        odd = odd | quoted & _null_mask(fields)
+    wide = {i: data[starts[i]:ends[i]] for i in np.flatnonzero(odd).tolist()}
+    return fields, lens, wide
 
 
 def _nuls(data: bytes):
     """The positions of the NUL bytes in ``data``, or None if it has none."""
     return (np.flatnonzero(np.frombuffer(data, np.uint8) == 0)
             if b"\x00" in data else None)
-
-
-def _holds_nul(nuls, starts, ends):
-    """Flags the fields ``data[s:e]`` holding a NUL, given ``_nuls(data)``."""
-    if nuls is None:
-        return np.zeros(len(starts), np.bool_)
-    return np.searchsorted(nuls, ends) > np.searchsorted(nuls, starts)
-
-
-def _convert(data: bytes, starts, ends, ctype: ColumnType, quoted, nuls):
-    """:func:`convert_column` of the fields ``data[s:e]``, gathered, given
-    ``_nuls(data)``.  Only Character and Bytes read a NUL, and an ``S`` array
-    strips a trailing one, so the fields that hold one are flagged as never
-    null: a text column is then sliced, and in any other they are blanked,
-    so that they fail."""
-    held = _holds_nul(nuls, starts, ends)
-    if held.any():
-        quoted = held if quoted is None else quoted | held
-        if _TYPES[ctype].dtype is None:
-            return convert_column(_slices(data, starts, ends), ctype, quoted)
-        ends = np.where(held, starts, ends)
-    return convert_column(_gather(data, starts, ends), ctype, quoted,
-                          ends - starts)
 
 
 def _uniform_arity(counts) -> int:
@@ -462,8 +451,10 @@ def _build_frame(chunk: bytes, schema: Schema):
         ctype = schema.types[j]
         flags = (quoted[:, k] if quoted is not None and quoted[:, k].any()
                  else None)
-        values, mask, fails = _convert(data, starts[:, k], ends[:, k], ctype,
-                                       flags, nuls)
+        fields, lengths, wide = _gather(data, starts[:, k], ends[:, k], nuls,
+                                        flags)
+        values, mask, fails = convert_column(fields, ctype, lengths, wide)
+        del fields  # freed before the next column is gathered
         columns.append(Column(names[k], ctype, values, mask))
         failures[names[k]] = fails
     report = ParseReport(len(counts), int(np.count_nonzero(counts < n_cols)),
@@ -507,8 +498,8 @@ def _header_names(chunk: bytes, schema: Schema) -> list:
         raise HeaderArityMismatch(
             f"header has {counts[0]} fields, schema has {len(schema.types)}"
         )
-    return [f.decode("utf-8", "surrogateescape")
-            for f in _slices(data, starts[0], ends[0])]
+    return [data[s:e].decode("utf-8", "surrogateescape")
+            for s, e in zip(starts[0].tolist(), ends[0].tolist())]
 
 
 def parse_frame_with_header(chunk: bytes, schema: Schema, strict: bool = False):
@@ -542,35 +533,33 @@ def infer_schema(sample: bytes, field_sep: bytes = b",") -> Schema:
     nuls = _nuls(head)
     types = []
     for j in range(_uniform_arity(counts)):
-        s, e = starts[:, j], ends[:, j]
-        # no type but Character reads a NUL
-        types.append(ColumnType.CHARACTER if _holds_nul(nuls, s, e).any()
-                     else _infer_column(_gather(head, s, e)))
+        fields, _, wide = _gather(head, starts[:, j], ends[:, j], nuls)
+        types.append(_infer_column(fields, wide))
     return Schema(types=tuple(types), field_sep=field_sep)
 
 
-def _infer_column(fields) -> ColumnType:
-    """The type :func:`infer_schema` gives a column: ``fields`` is an ``S``
-    array of NUL-free cells, which each candidate type reads with one cast,
-    or a list of bytes holding a cell too long to widen every cell to, which
-    it reads a cell at a time."""
-    if isinstance(fields, list):
-        cells = [np.array([f]) for f in fields if not is_null_token(f)]
-    else:
-        cells = [fields[~_null_mask(fields)]]
-    if not any(len(c) for c in cells):
+def _infer_column(fields: np.ndarray, wide: dict) -> ColumnType:
+    """The type :func:`infer_schema` gives a column gathered as
+    ``(fields, _, wide)`` by :func:`_gather`: each candidate type reads the
+    non-null cells of ``fields`` with one cast, and each ``wide`` cell with
+    its scalar read, so a column with a NUL cell is Character."""
+    cells = fields[~_null_mask(fields)]
+    if not len(cells) and not wide:
         return ColumnType.CHARACTER
     for ctype in (ColumnType.LOGICAL, ColumnType.INTEGER, ColumnType.REAL):
-        if all(_reads_all(c, ctype) for c in cells):
+        if _reads_all(cells, wide.values(), ctype):
             return ctype
     return ColumnType.CHARACTER
 
 
-def _reads_all(cells: np.ndarray, ctype: ColumnType) -> bool:
-    if ctype is ColumnType.LOGICAL:
-        return not _logical_bulk(cells)[2]
+def _reads_all(cells: np.ndarray, wide, ctype: ColumnType) -> bool:
+    row = _TYPES[ctype]
     try:
-        cells.astype(_TYPES[ctype].dtype)
+        for cell in wide:
+            row.read(cell)
+        if ctype is ColumnType.LOGICAL:
+            return not _logical_bulk(cells)[2]
+        cells.astype(row.dtype)
     except (ValueError, OverflowError):
         return False
     return True

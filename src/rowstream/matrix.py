@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._coerce import _TYPES, ColumnType
+from ._coerce import _TYPES, ColumnType, convert_column
 from .errors import SchemaError
-from .frame import (_convert, _field_offsets, _nuls, _record_blocks,
+from .frame import (_field_offsets, _gather, _nuls, _record_blocks,
                     _uniform_arity, check_layout)
 
 __all__ = ["DenseMatrix", "parse_matrix"]
@@ -79,8 +79,9 @@ def parse_matrix(chunk: bytes, elem_type: ColumnType, field_sep: bytes = b","):
         starts, ends, block_counts, _, _ = _field_offsets(block, ncol,
                                                           field_sep)
         ncol = starts.shape[1]
-        values, _mask, fails = _convert(block, starts.ravel(), ends.ravel(),
-                                        elem_type, None, _nuls(block))
+        fields, lengths, wide = _gather(block, starts.ravel(), ends.ravel(),
+                                        _nuls(block))
+        values, _mask, fails = convert_column(fields, elem_type, lengths, wide)
         if data is None:
             data = np.empty(n_rows * ncol, dtype)
         data[pos:pos + len(values)] = values

@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from ._coerce import INT64_MAX, INT64_MIN, ColumnType
-from .errors import MissingColumn, OutOfRange, SchemaError, UnknownLevel
+from .errors import OutOfRange, SchemaError, UnknownLevel
 from .frame import Column, Frame
 from .matrix import DenseMatrix
 

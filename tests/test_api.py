@@ -43,6 +43,29 @@ def test_every_private_module_name_is_read():
     assert sorted(private - read) == []
 
 
+def test_every_module_import_is_read():
+    # a module-level import that its module never reads is left over from
+    # deleted code; names in __all__ are read by importers
+    unused = []
+    for path in sorted((ROOT / "src" / "rowstream").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            targets = getattr(node, "targets", ())
+            if [getattr(t, "id", None) for t in targets] == ["__all__"]:
+                read.update(c.value for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant))
+        for node in tree.body:
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.name}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0]
+                           not in read]
+    assert unused == []
+
+
 def test_benchmark_imports_resolve(monkeypatch, tmp_path):
     # perfbench/ is frozen between benchmark changes; every rowstream call
     # its in-process runs make must still bind, and give what its checks

@@ -396,7 +396,7 @@ def test_bulk_and_scalar_paths_agree(ctype):
         b"1", b"2.5", b"-3", b"NA", b"", b"TRUE", b"F", b"1e300", b"5e-324",
         b"9223372036854775807", b"-9223372036854775808", b"9223372036854775808",
     ]
-    fast = convert_column(list(fields), ctype)
+    fast = convert_column(np.array(fields, "S"), ctype)
     slow = _read_cells(fields, ctype)
     assert fast[1].tolist() == slow[1].tolist()  # masks
     assert fast[2] == slow[2]  # failure count
@@ -461,8 +461,8 @@ def test_bad_cell_search_matches_the_whole_column_reread(drawn):
     ctype, cells = drawn
     data = b"\n".join(cells) + b"\n"
     starts, ends, *_ = _field_offsets(data, 1, b",")
-    gathered = _gather(data, starts[:, 0], ends[:, 0])
-    values, mask, failures = convert_column(gathered, ctype)
+    fields, _, wide = _gather(data, starts[:, 0], ends[:, 0])
+    values, mask, failures = convert_column(fields, ctype, wide=wide)
     ref_values, ref_mask, ref_failures = _read_cells(cells, ctype)
     assert failures == ref_failures
     assert mask.tolist() == ref_mask.tolist()
@@ -829,6 +829,43 @@ def test_one_long_cell_is_not_a_column_width(kind, ctype):
     want = naive_parse_frame(chunk, schema)
     assert frames_equal(got[0], want[0]) and got[1] == want[1]
     assert peak < 16 * len(chunk), peak / len(chunk)
+
+
+def _wide_records(quoted: bool) -> bytes:
+    """200 one-field records of short cells that the word reader reads, a
+    bad one in every 50 that sends a cast to the bisection, and each kind
+    of field a gathered array cannot hold: ``7\\x00``, ``1\\x002``, a 50 KB
+    cell and, when ``quoted``, a quoted ``""`` and ``"NA"``."""
+    spellings = [b"%d", b"%d.5", b"T", b"F", b"NA", b""]
+    cells = [b"x" if i % 50 == 25
+             else spellings[i % 6].replace(b"%d", b"%d" % i)
+             for i in range(200)]
+    cells[10], cells[20] = b"7\x00", b"1\x002"
+    cells[30] = b"0" * 49_999 + b"1"  # Integer fails it, Real reads 1.0
+    if quoted:
+        cells[40], cells[41] = b'""', b'"NA"'
+    return b"\n".join(cells) + b"\n"
+
+
+@pytest.mark.parametrize("ctype", [L, I, R, C, B, X, T])
+def test_every_wide_cell_reads_as_the_reference_does(monkeypatch, ctype):
+    """All the fields a column's gathered array cannot hold, in one column,
+    are read alone beside the word reader and the bisection."""
+    ran = Counter()
+    for name in ("_word_bulk", "_cast_or_bisect"):
+        real = getattr(rowstream._coerce, name)
+        monkeypatch.setattr(rowstream._coerce, name, lambda *a, _n=name,
+                            _f=real: ran.update([_n]) or _f(*a))
+    _scan_agrees(_wide_records(True), Schema((ctype,), quote=b'"'))
+    if ctype in (I, R, T):
+        assert ran["_word_bulk"] and ran["_cast_or_bisect"], ran
+    plain = _wide_records(False)
+    if ctype not in (B, T):  # no matrix holds these
+        matrix, failures = parse_matrix(plain, ctype)
+        ref_values, ref_failures = naive_parse_matrix(plain, ctype)
+        np.testing.assert_array_equal(matrix.values, ref_values)
+        assert failures == ref_failures
+    assert infer_schema(plain) == naive_infer_schema(plain)
 
 
 def test_int64_offsets_parse_the_same(monkeypatch):

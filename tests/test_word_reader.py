@@ -2,8 +2,9 @@
 
 Numeric columns whose every cell fits in 8 bytes are read by word
 arithmetic (``_coerce._word_bulk``), and only the cells it rejects by
-numpy's casts.  A list of fields always takes the casts, so it is the
-reference: values bit for bit, masks and failure counts must be equal.
+numpy's casts.  An array passed without its lengths always takes the
+casts, so it is the reference: values bit for bit, masks and failure counts
+must be equal.
 """
 
 from collections import Counter
@@ -86,7 +87,8 @@ def test_frame_columns_read_as_the_cast_reads_them(monkeypatch, counted,
         chunk = b"".join(b",".join(row) + b"\n" for row in rows)
         frame, report = parse_frame(chunk, Schema((I, R, T)))
         for j, column in enumerate(frame.columns):
-            want = convert_column([row[j] for row in rows], column.ctype)
+            want = convert_column(np.array([row[j] for row in rows], "S"),
+                                  column.ctype)
             _same((column.values, column.mask,
                    report.column_failures[column.name]), want)
         counted["wide"] += any(len(c) > 8 for row in rows for c in row)
@@ -110,7 +112,7 @@ def test_matrix_blocks_read_as_the_cast_reads_them(monkeypatch, counted,
         chunk = b"".join(b",".join(row) + b"\n" for row in rows)
         matrix, failures = parse_matrix(chunk, ctype)
         values, mask, want_failures = convert_column(
-            [c for row in rows for c in row], ctype)
+            np.array([c for row in rows for c in row], "S"), ctype)
         assert failures == want_failures
         assert matrix.values.tobytes() == values.tobytes()
 
@@ -126,7 +128,7 @@ def test_word_reader_takes_what_it_should():
     lengths = np.array([len(c) for c in cells])
     for ctype in (I, R, T):
         _same(convert_column(fields, ctype, lengths=lengths),
-              convert_column(cells, ctype))
+              convert_column(np.array(cells, "S"), ctype))
     values, mask, failures = convert_column(fields, R, lengths=lengths)
     assert values[:4].tolist() == [-0.0, -0.5, 1.0, 12.5]
     assert np.signbit(values[0])
