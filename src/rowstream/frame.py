@@ -388,13 +388,13 @@ def _gather(data: bytes, starts: np.ndarray, ends: np.ndarray, nuls=None,
     # the width, in whole 64-bit words, that every field may be widened to
     # while the array stays within four times data
     cap = max(4 * len(data) // max(len(lens), 1) // 8 * 8, 8)
-    odd = lens > cap if longest > cap else False
+    odd = lens > cap if longest > cap else False  # False: no mask built
     if nuls is not None:
         odd = odd | (np.searchsorted(nuls, ends)
                      > np.searchsorted(nuls, starts))
-    if np.any(odd):
+    if odd is not False:
         lens = np.where(odd, 0, lens)
-        longest = int(lens.max())
+        longest = int(lens.max(initial=0))
     width = max(-(-longest // 8) * 8, 8)
     cut = max(len(data) + 1 - width, 0)  # a window from here on runs past
     tail = np.ndarray((len(data) + 1 - cut,), dtype=f"S{width}",
@@ -412,8 +412,10 @@ def _gather(data: bytes, starts: np.ndarray, ends: np.ndarray, nuls=None,
                                  0, 8)].T
     if quoted is not None:
         odd = odd | quoted & _null_mask(fields)
-    wide = {i: data[starts[i]:ends[i]] for i in np.flatnonzero(odd).tolist()}
-    return fields, lens, wide
+    if odd is False:
+        return fields, lens, {}
+    return fields, lens, {i: data[starts[i]:ends[i]]
+                          for i in np.flatnonzero(odd).tolist()}
 
 
 def _nuls(data: bytes):
