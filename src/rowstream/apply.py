@@ -17,8 +17,8 @@ the pool ends, so a failure, or a caller that stops early, does not wait for
 abandoned work; what ``f`` writes to the std streams is flushed before each
 result is sent.  A pool never has more workers than the input has windows
 when the input's size is known: bytes, or a regular file given by path or by
-an open handle.  Where that leaves one worker, the pooled modes run the
-function in-process and start no pool.  Split mode needs such a file.
+an open handle.  A pooled mode left with one worker runs the sequential loop,
+and its events are the sequential ones.  Split mode needs such a file.
 Every mode reads an open handle from where it stands.  The sequential and
 pipeline modes also take an iterable of chunk payloads, record-aligned
 ``bytes`` the caller has already cut, and apply the function to each as a
@@ -31,7 +31,7 @@ An optional ``on_event`` callback observes the master's scheduling actions as
 ``(kind, seq)`` pairs, kinds ``read_start``/``read_end``/``dispatch``/
 ``collect`` (the read that discovers end-of-stream emits ``read_end`` with
 seq -1).  Events fire on the master thread only; split mode, where workers do
-their own reading, emits none.
+their own reading, emits none unless it is left with one worker.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import count
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Iterator, Optional
 
 from .chunker import Chunk, ChunkerConfig, _raw_chunks, iter_chunks
@@ -58,7 +56,7 @@ class ApplyConfig:
     """Execution strategy for chunk_apply.
 
     ``parallel`` bounds in-flight computations; a pooled mode left with one
-    worker runs the function in-process.
+    worker runs the sequential loop, and its events are the sequential ones.
     """
 
     mode: str = "sequential"
@@ -70,32 +68,6 @@ class ApplyConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.parallel < 1:
             raise ValueError("parallel must be >= 1")
-
-
-def _start_pool(workers: int):
-    if workers == 1:
-        return _NoPool()
-    # compiled only by the runs that start a pool
-    from ._forkpool import ForkPool
-
-    return ForkPool(workers)
-
-
-class _NoPool:
-    """Stands in for a pool of one worker, which would cost more to start
-    than it wins back: a submitted call runs when its result is read."""
-
-    def submit(self, f, *args):
-        return SimpleNamespace(result=partial(f, *args))
-
-    def shutdown(self):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
 
 
 def _extent(source):
@@ -152,12 +124,15 @@ def _run_sequential(chunks, f, on_event=_no_event):
         yield result
 
 
-def _run_pipeline(source, f, cfg: ApplyConfig, on_event):
+def _run_pipeline(source, f, cfg: ApplyConfig, workers, on_event):
     """Read a chunk, collect the oldest computation if ``parallel`` are in
     flight, then dispatch before yielding what was collected; so the next
     read, and the caller's use of a result, overlap the running work."""
+    # compiled only by the runs that start a pool
+    from ._forkpool import ForkPool
+
     inflight = deque()
-    pool = _start_pool(_pool_size(_extent(source)[2], cfg))
+    pool = ForkPool(workers)
 
     def collect():
         seq, future = inflight.popleft()
@@ -202,20 +177,13 @@ def _split_worker(path, origin, win_lo, win_hi, cfg: ChunkerConfig, f):
         return list(_run_sequential(map(Chunk, raw, count()), f))
 
 
-def _run_split(source, f, cfg: ApplyConfig):
-    path, origin, size = _extent(source)
-    if path is None:
-        raise NotSeekable(
-            f"split mode reads byte ranges of a regular file; got {source!r}"
-        )
-    if size <= 0:
-        return
-    n_windows = -(-size // cfg.chunker.target_bytes)
-    n_workers = _pool_size(size, cfg)
-    per, extra = divmod(n_windows, n_workers)
-    edges = [i * per + min(i, extra) for i in range(n_workers + 1)]
+def _run_split(path, origin, size, f, cfg: ApplyConfig, workers):
+    from ._forkpool import ForkPool
+
+    per, extra = divmod(-(-size // cfg.chunker.target_bytes), workers)
+    edges = [i * per + min(i, extra) for i in range(workers + 1)]
     done = 0
-    with _start_pool(n_workers) as pool:
+    with ForkPool(workers) as pool:
         futures = [
             pool.submit(_split_worker, path, origin, lo, hi, cfg.chunker, f)
             for lo, hi in zip(edges, edges[1:])
@@ -242,16 +210,24 @@ def iter_apply(
     Each record is processed exactly once in every mode.  A failure inside
     ``f`` raises WorkerFailure carrying the failing chunk's seq once every
     result before it has been yielded.  The pooled modes shut their pool
-    down when the iterator ends, fails or is closed.
+    down when the iterator ends, fails or is closed.  Nothing is read or
+    started before the first result is asked for.
     """
     cfg = cfg or ApplyConfig()
     on_event = on_event or _no_event
-    if cfg.mode == "sequential":
+    path, origin, size = _extent(source)
+    if cfg.mode == "split" and path is None:
+        raise NotSeekable(
+            f"split mode reads byte ranges of a regular file; got {source!r}"
+        )
+    workers = 1 if cfg.mode == "sequential" else _pool_size(size, cfg)
+    if workers == 1:
         chunks = _event_chunks(source, cfg.chunker, on_event)
-        return _run_sequential(chunks, f, on_event)
-    if cfg.mode == "pipeline":
-        return _run_pipeline(source, f, cfg, on_event)
-    return _run_split(source, f, cfg)
+        yield from _run_sequential(chunks, f, on_event)
+    elif cfg.mode == "pipeline":
+        yield from _run_pipeline(source, f, cfg, workers, on_event)
+    else:
+        yield from _run_split(path, origin, size, f, cfg, workers)
 
 
 def chunk_apply(

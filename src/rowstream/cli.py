@@ -7,9 +7,9 @@ compose in pipelines.  Exit codes: 0 success, 1 input or format error,
 CHUNK_TARGET_BYTES overrides the default chunk size.
 
 ``parse`` runs each chunk's parse and re-serialization through
-``apply.iter_apply``: pipelined over the CPUs the process may run on, but
-no more workers than the input has chunk windows, and in-process, with no
-pool, when that leaves one worker or the input's size is unknown (a FIFO).
+``apply.iter_apply`` pipelined over the CPUs the process may run on, but no
+more workers than the input has chunk windows, or over one worker, which
+runs the sequential loop, when the input's size is unknown (a FIFO).
 The master writes the results in chunk order, so output never depends on
 the worker count, and a failing chunk raises its own error.
 ``parse --out PATH`` replaces PATH only when the parse succeeds.
@@ -115,21 +115,19 @@ def _default_chunker() -> ChunkerConfig:
     return ChunkerConfig()
 
 
-def _resolve_schema(data: bytes, schema_arg, sep, header, columns) -> Schema:
+def _resolve_schema(data: bytes, schema_arg, sep, header, columns):
     """The schema of the input whose leading records are ``data``.
 
-    Types are given or inferred from the records after any header.  Names
-    come from the header, or are V1, V2, ... over the non-skipped columns.
-    With ``columns``, a set of names, every other column is set to SKIP, so
-    the parser never converts it, and the kept ones keep their names.
+    Types are given or inferred from the records after any header; the
+    schema is None when there are none to infer from.  Names come from the
+    header, or are V1, V2, ... over the non-skipped columns.  With
+    ``columns``, a set of names, every other column is set to SKIP, so the
+    parser never converts it, and the kept ones keep their names.
     """
     if schema_arg == "infer":
         sample = _skip_records(data, 1)[0] if header else data
         if not sample:
-            raise SchemaError(
-                "input holds no data records to infer from; "
-                "pass an explicit schema"
-            )
+            return None
         types = infer_schema(sample, field_sep=sep).types
     else:
         types = _parse_types(schema_arg)
@@ -151,7 +149,7 @@ def _resolve_schema(data: bytes, schema_arg, sep, header, columns) -> Schema:
 def _resolve_stream(chunks, schema_arg, sep, header, skip, columns=None):
     """The schema of the input that ``chunks`` (from ``iter_chunks``) cut
     and its data records: ``(schema, chunks)``, or ``(None, ())`` when no
-    record follows ``skip``.
+    record follows ``skip``, or for ``infer`` none follows the header.
 
     After ``skip`` leading records, the leading chunks are held until they
     contain the header and ``_SAMPLE_RECORDS`` records for ``infer``, or one
@@ -173,9 +171,10 @@ def _resolve_stream(chunks, schema_arg, sep, header, skip, columns=None):
             n_held += data.count(b"\n")
             if n_held >= need:
                 break
-    if not held:
+    schema = held and _resolve_schema(b"".join(held), schema_arg, sep,
+                                      header, columns)
+    if not schema:
         return None, ()
-    schema = _resolve_schema(b"".join(held), schema_arg, sep, header, columns)
     if header:
         held[0] = _skip_records(held[0], 1)[0]
     return schema, chain(held, (chunk.data for chunk in chunks))
@@ -219,15 +218,14 @@ def _usable_cpus() -> int:
 
 def _parse_config(path, cfg: ChunkerConfig):
     """``parse`` pipelines its chunks over the usable CPUs, but no more than
-    the input has windows, and runs in-process, with no pool, at one worker
-    or on an input of unknown size such as a FIFO."""
+    the input has windows, and over one worker on an input of unknown size
+    such as a FIFO; ``iter_apply`` runs one worker as the sequential loop."""
     from .apply import ApplyConfig, _extent, _pool_size
 
     size = _extent(path)[2]
     workers = 1 if size is None else _pool_size(
         size, ApplyConfig(parallel=_usable_cpus(), chunker=cfg))
-    mode = "pipeline" if workers > 1 else "sequential"
-    return ApplyConfig(mode=mode, parallel=workers, chunker=cfg)
+    return ApplyConfig(mode="pipeline", parallel=workers, chunker=cfg)
 
 
 def _parse_chunk(data: bytes, schema: Schema, strict: bool):

@@ -139,7 +139,9 @@ def solve_ne(
     for i, name in enumerate(names):
         if name in names[:i]:
             raise SchemaError(f"design column name {name!r} repeats")
-    if acc.n < 1 or d == 0:
+    if d == 0:
+        raise DegenerateSystem("the design has no columns")
+    if acc.n < 1:
         raise DegenerateSystem("no rows accumulated")
     A = np.array(acc.xtx, dtype=np.float64)
     if not np.isfinite(A).all() or not np.isfinite(acc.xty).all():

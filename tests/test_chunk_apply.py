@@ -213,13 +213,6 @@ def test_pipeline_event_log_exact_unfolding(tmp_path):
 
 
 @pytest.mark.parametrize("parallel,expected", [
-    (1, [
-        ("read_start", 0), ("read_end", 0), ("dispatch", 0),
-        ("read_start", 1), ("read_end", 1), ("collect", 0), ("dispatch", 1),
-        ("read_start", 2), ("read_end", 2), ("collect", 1), ("dispatch", 2),
-        ("read_start", 3), ("read_end", 3), ("collect", 2), ("dispatch", 3),
-        ("read_start", 4), ("read_end", -1), ("collect", 3),
-    ]),
     (3, [
         ("read_start", 0), ("read_end", 0), ("dispatch", 0),
         ("read_start", 1), ("read_end", 1), ("dispatch", 1),
@@ -228,7 +221,7 @@ def test_pipeline_event_log_exact_unfolding(tmp_path):
         ("read_start", 4), ("read_end", -1),
         ("collect", 1), ("collect", 2), ("collect", 3),
     ]),
-])
+], ids=["3-expected1"])  # keeps the id the case is known by
 def test_pipeline_event_log_exact_at_parallel(tmp_path, parallel, expected):
     # a chunk is read before the oldest computation is collected, so each
     # read overlaps the work in flight
@@ -301,6 +294,12 @@ def test_sequential_event_log(tmp_path):
         ("read_start", 1), ("read_end", 1), ("dispatch", 1), ("collect", 1),
         ("read_start", 2), ("read_end", -1),
     ]
+
+
+def test_split_refuses_a_stream_at_the_first_next():
+    results = iter_apply(io.BytesIO(b"a\n"), count_records, cfg("split", 2))
+    with pytest.raises(NotSeekable):
+        next(results)
 
 
 def test_split_needs_a_real_file(tmp_path):
@@ -400,6 +399,36 @@ def test_pool_never_outnumbers_windows(tmp_path, monkeypatch, mode):
         with pytest.raises(RecordTooLarge):
             chunk_apply("/dev/zero", count_records, cfg(mode, 2))
         assert RecordingPool.sizes == [3, 2, 2]
+
+
+def test_a_pooled_mode_left_with_one_worker_runs_the_sequential_loop(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(rowstream._forkpool, "ForkPool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    four, one, empty = (tmp_path / name for name in ("4", "1", "0"))
+    four.write_bytes(b"".join(b"%d\n" % i for i in range(4)))
+    one.write_bytes(b"a\nb\n")  # one window at target 32
+    empty.write_bytes(b"")
+    master = threading.get_ident()
+
+    def run(path, run_cfg):
+        events, threads = [], set()
+
+        def f(data):  # a closure does not pickle, so no worker can run it
+            threads.add(threading.get_ident())
+            return count_records(data)
+
+        got = chunk_apply(path, f, run_cfg,
+                          on_event=lambda kind, seq: events.append((kind, seq)))
+        assert threads == ({master} if got else set())
+        return got, events
+
+    for path, target, mode, parallel in (
+            (four, 2, "pipeline", 1), (one, 32, "pipeline", 4),
+            (one, 32, "split", 4), (empty, 32, "split", 4)):
+        want = run(path, cfg("sequential", 1, target))
+        assert run(path, cfg(mode, parallel, target)) == want, (path, mode)
+    assert RecordingPool.sizes == []
 
 
 @pytest.mark.parametrize("mode", ["sequential", "pipeline"])

@@ -568,6 +568,28 @@ def test_mm_of_an_input_without_records_writes_an_empty_checkpoint(
     assert not (tmp_path / "e.mm.partial").exists()
 
 
+def test_a_header_only_input_holds_no_records(tmp_path, capsysbinary):
+    # under infer, as an empty input does: it adds no rows and is no error
+    a1, a2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
+    a1.write_bytes(b"y,x\n1.5,1\n2.5,2\n4.0,3\n")
+    a2.write_bytes(b"y,x\n")
+    terms = ["--header", "--response", "y", "--numeric", "x", "--out"]
+    one, two = tmp_path / "one.mm", tmp_path / "two.mm"
+    assert run(["mm", str(a1), *terms, str(one)], capsysbinary)[0] == 0
+    code, _, err = run(["mm", str(a1), str(a2), *terms, str(two)],
+                       capsysbinary)
+    assert code == 0, err
+    assert f"{a2}: 0 rows in, 0 written" in err
+    assert not (tmp_path / "two.mm.partial").exists()
+    assert two.read_bytes() == one.read_bytes()
+    assert (tmp_path / "two.mm.names").read_bytes() == (
+        tmp_path / "one.mm.names").read_bytes()
+    code, out, err = run(["parse", str(a2), "--header", "--schema", "infer"],
+                         capsysbinary)
+    assert (code, out) == (0, b"")
+    assert "rows: 0" in err.splitlines()
+
+
 def test_mm_unknown_levels_dropped_and_reported(tmp_path, capsysbinary):
     src = tmp_path / "lv.csv"
     src.write_bytes(b"1.0,a\n2.0,weird\n3.0,b\n")

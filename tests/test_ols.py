@@ -236,8 +236,11 @@ def test_not_positive_semidefinite():
 
 def test_empty_accumulator_rejected():
     acc = NormalEqAccumulator.zero(2)
-    with pytest.raises(DegenerateSystem):
+    with pytest.raises(DegenerateSystem, match="no rows accumulated"):
         solve_ne(acc, ["a", "b"])
+    # rows, but a design of the response alone
+    with pytest.raises(DegenerateSystem, match="the design has no columns"):
+        solve_ne(NormalEqAccumulator(0, n=2), [])
 
 
 def test_names_length_check():
