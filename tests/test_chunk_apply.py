@@ -405,7 +405,8 @@ def test_a_pooled_mode_left_with_one_worker_runs_the_sequential_loop(
         tmp_path, monkeypatch):
     monkeypatch.setattr(rowstream._forkpool, "ForkPool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    four, one, empty = (tmp_path / name for name in ("4", "1", "0"))
+    four, one, empty = (tmp_path / f"{name}.txt"
+                        for name in ("four", "one", "empty"))
     four.write_bytes(b"".join(b"%d\n" % i for i in range(4)))
     one.write_bytes(b"a\nb\n")  # one window at target 32
     empty.write_bytes(b"")
