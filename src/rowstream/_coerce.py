@@ -22,11 +22,13 @@ integers ``-?D+`` and the short decimals ``-?D*.D*`` it holds are folded by
 Lemire's eight-digit parse (Lemire, "Number Parsing at a Gigabyte per
 Second", SPE 2021), and only the fields it rejects go on to the casts.
 
-A column comes as one ``S`` array plus ``wide``, the fields the array
-cannot hold exactly, each with an empty slot (see ``frame._gather``): one
-with a NUL, which an ``S`` array strips, one too long to widen every field
-to, and a quoted null spelling.  Every bulk reader reads those slots as
-nulls, and ``convert_column`` then reads each ``wide`` field with its
+:func:`_gather` copies a column of fields straight into one ``S`` array,
+with no Python object per field, so the memory a parse takes beyond its
+result is a fraction of its chunk.  Beside it comes ``wide``, the fields the
+array cannot hold exactly, each with an empty slot: one with a NUL, which an
+``S`` array strips, one too long to widen every field to within four times
+the data, and a quoted null spelling.  Every bulk reader reads those slots
+as nulls, and ``convert_column`` then reads each ``wide`` field with its
 type's ``read``, which only Character and Bytes pass for a NUL, ``""`` or
 ``NA``.
 
@@ -36,7 +38,8 @@ short decimal, are spelled by numpy digit arithmetic; those bytes are
 exactly what ``repr`` writes.  Any other real column takes one ``repr`` per
 cell, joined into one string, because shortest round-trip printing of an
 arbitrary double has no vectorized form.  Text columns are joined and
-encoded once.
+encoded once.  Joined cells are gathered into their block by ``_gather``,
+so the writer gets the cells the array cannot hold in ``wide``.
 """
 
 from __future__ import annotations
@@ -87,6 +90,8 @@ _DIVISORS = 10.0 ** np.arange(8)
 # ASCII 0s that fill the bytes below them (no digits fails the check)
 _ALIGN_SHIFTS = np.array([56] + [64 - 8 * i for i in range(1, 9)], np.uint64)
 _ALIGN_ZEROS = _ZEROS & ((np.uint64(1) << _ALIGN_SHIFTS) - np.uint64(1))
+# _BYTE_MASKS[i] keeps the first i bytes of a little-endian 64-bit word
+_BYTE_MASKS = np.array([(1 << 8 * i) - 1 for i in range(9)], np.dtype("<u8"))
 
 
 class ColumnType(enum.Enum):
@@ -187,28 +192,21 @@ def _put_digits(block, q, keep=None):
 
 def _joined_block(data: bytes, shape):
     """``(block, keep, wide)`` for cells joined by LF in ``data``, or None
-    when ``data`` holds more LFs than cell boundaries.  Each block row is a
-    cell's bytes, left-aligned, plus a spare byte.  When one long cell would
-    make the block over four times ``data``, as ``frame._gather`` rules, the
-    block is narrower and ``wide`` maps each cell that does not fit, by flat
-    index, to its bytes."""
-    n = int(np.prod(shape))
+    when ``data`` holds more LFs than cell boundaries.  The cells are
+    gathered as a parsed column's fields are (see :func:`_gather`): each
+    block row is a cell's bytes, left-aligned, plus a spare byte, and
+    ``wide`` maps each cell the gathered array cannot hold, by flat index,
+    to its bytes."""
     lf = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
-    if len(lf) != n - 1:
+    if len(lf) != int(np.prod(shape)) - 1:
         return None
-    starts = np.concatenate(([0], lf + 1))
-    lens = np.append(lf, len(data)) - starts
-    w = max(int(lens.max()), 3)  # never narrower than NA or nan
-    if n * (w + 1) > 4 * len(data):
-        w = max(4 * len(data) // n - 1, 3)
-    windows = np.ndarray((len(data) + 1,), dtype=f"S{w + 1}",
-                         buffer=data + bytes(w + 1), strides=(1,))
-    block = windows[starts].view(np.uint8).reshape(shape + (w + 1,))
-    keep = (np.arange(w + 1) < lens[:, None]).reshape(block.shape)
-    wide = {}
-    for i in np.flatnonzero(lens > w).tolist():
-        wide[i] = data[starts[i]:starts[i] + lens[i]]
-        keep.reshape(n, -1)[i] = False
+    fields, lens, wide = _gather(data, np.concatenate(([0], lf + 1)),
+                                 np.append(lf, len(data)), _nuls(data))
+    w = max(int(lens.max()), 2)  # never narrower than NA
+    block = np.zeros((len(fields), w + 1), np.uint8)
+    block[:, :w] = fields.view(np.uint8).reshape(len(fields), -1)[:, :w]
+    block = block.reshape(shape + (w + 1,))
+    keep = block != 0  # a cell holding a NUL is wide: a zero is padding
     keep[..., -1] = True
     return block, keep, wide
 
@@ -322,20 +320,14 @@ _TYPES = {
 }
 
 
-def _bytes_array(fields: np.ndarray) -> np.ndarray:
-    # wide enough to hold the b"0"/b"nan" placeholders written below
-    return fields.astype("S3") if fields.dtype.itemsize < 3 else fields
-
-
 def _null_mask(fields: np.ndarray) -> np.ndarray:
     return (fields == _NULL_TOKENS[0]) | (fields == _NULL_TOKENS[1])
 
 
 def _logical_bulk(fields):
-    a = _bytes_array(fields)
-    null = _null_mask(a)
-    true = (a == _TRUE_TOKENS[0]) | (a == _TRUE_TOKENS[1])
-    false = (a == _FALSE_TOKENS[0]) | (a == _FALSE_TOKENS[1])
+    null = _null_mask(fields)
+    true = (fields == _TRUE_TOKENS[0]) | (fields == _TRUE_TOKENS[1])
+    false = (fields == _FALSE_TOKENS[0]) | (fields == _FALSE_TOKENS[1])
     bad = ~(null | true | false)
     return true, null | bad, int(bad.sum())
 
@@ -402,13 +394,13 @@ def _cast_bulk(fields, row: _Type, lengths=None):
     if (lengths is not None and row.cast_null is not None
             and fields.dtype == "S8"):
         return _word_bulk(fields, lengths, row)
-    a = _bytes_array(fields)
-    mask = _null_mask(a)
+    mask = _null_mask(fields)
     if row.cast_null is None:
         # no cast reads the type's grammar: each non-null cell is read alone
-        values = np.full(len(a), row.fill, row.dtype)
+        values = np.full(len(fields), row.fill, row.dtype)
         bad = np.flatnonzero(~mask).tolist()
     else:
+        a = fields  # np.where widens it to hold the placeholder
         if mask.any():
             a = np.where(mask, np.bytes_(row.cast_null), a)
         try:
@@ -444,6 +436,59 @@ def _cast_or_bisect(a, values, lo: int, hi: int, bad: list):
         mid = (lo + hi) // 2
         _cast_or_bisect(a, values, lo, mid, bad)
         _cast_or_bisect(a, values, mid, hi, bad)
+
+
+def _gather(data: bytes, starts: np.ndarray, ends: np.ndarray, nuls=None,
+            quoted=None):
+    """``(fields, lengths, wide)``: the fields ``data[s:e]`` as one ``S``
+    array, their byte counts, and ``wide``, which maps the index of each
+    field the array cannot hold exactly to its bytes and leaves its slot
+    empty.  Those are a field holding a NUL, given ``_nuls(data)``, since
+    an ``S`` array strips a trailing one; a field too long to widen every
+    field to without making the array over four times ``data``; and a
+    field flagged ``quoted`` and spelled like a null, which is a value.
+    Each field is copied as whole 64-bit words from its start, and the
+    words are masked past its end; a field within a window of the end of
+    ``data`` is copied from a padded copy of that window."""
+    lens = ends - starts
+    longest = int(lens.max(initial=0))
+    # the width, in whole 64-bit words, that every field may be widened to
+    # while the array stays within four times data
+    cap = max(4 * len(data) // max(len(lens), 1) // 8 * 8, 8)
+    odd = lens > cap if longest > cap else False  # False: no mask built
+    if nuls is not None:
+        odd = odd | (np.searchsorted(nuls, ends)
+                     > np.searchsorted(nuls, starts))
+    if odd is not False:
+        lens = np.where(odd, 0, lens)
+        longest = int(lens.max(initial=0))
+    width = max(-(-longest // 8) * 8, 8)
+    cut = max(len(data) + 1 - width, 0)  # a window from here on runs past
+    tail = np.ndarray((len(data) + 1 - cut,), dtype=f"S{width}",
+                      buffer=data[cut:] + bytes(width), strides=(1,))
+    if cut:
+        windows = np.ndarray((cut,), dtype=f"S{width}", buffer=data,
+                             strides=(1,))
+        fields = windows[np.minimum(starts, cut - 1)]
+        late = np.flatnonzero(starts >= cut)
+        fields[late] = tail[starts[late] - cut]
+    else:
+        fields = tail[starts]
+    words = fields.view("<u8").reshape(len(fields), width // 8)
+    words &= _BYTE_MASKS[np.clip(lens - np.arange(0, width, 8)[:, None],
+                                 0, 8)].T
+    if quoted is not None:
+        odd = odd | quoted & _null_mask(fields)
+    if odd is False:
+        return fields, lens, {}
+    return fields, lens, {i: data[starts[i]:ends[i]]
+                          for i in np.flatnonzero(odd).tolist()}
+
+
+def _nuls(data: bytes):
+    """The positions of the NUL bytes in ``data``, or None if it has none."""
+    return (np.flatnonzero(np.frombuffer(data, np.uint8) == 0)
+            if b"\x00" in data else None)
 
 
 def _text_bulk(fields: np.ndarray, ctype):
@@ -506,9 +551,9 @@ def spell_column(values, mask: np.ndarray, ctype: ColumnType):
     ``block`` is a uint8 array with one row of bytes per cell along its last
     axis, ending in one spare byte for the writer's separator; ``keep`` marks
     the cell's bytes and the spare byte.  ``wide`` maps the flat index of a
-    cell too long for the block to its bytes.  Masked slots spell ``NA``;
-    every other cell parses back to its value (floats bit for bit).  A text
-    cell holding LF raises SeparatorCollision."""
+    cell the block does not hold (see :func:`_gather`) to its bytes.  Masked
+    slots spell ``NA``; every other cell parses back to its value (floats
+    bit for bit).  A text cell holding LF raises SeparatorCollision."""
     block, keep, wide = _TYPES[ctype].spell(values, mask)
     if mask.any():
         na = np.zeros(block.shape[-1], np.bool_)

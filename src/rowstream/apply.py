@@ -17,12 +17,12 @@ the pool ends, so a failure, or a caller that stops early, does not wait for
 abandoned work; what ``f`` writes to the std streams is flushed before each
 result is sent.  A pool never has more workers than the input has windows
 when the input's size is known: bytes, or a regular file given by path or by
-an open handle.  A pooled mode left with one worker runs the sequential loop,
-and its events are the sequential ones.  Split mode needs such a file.
-Every mode reads an open handle from where it stands.  The sequential and
-pipeline modes also take an iterable of chunk payloads, record-aligned
-``bytes`` the caller has already cut, and apply the function to each as a
-chunk.
+an open file object (not a ``GzipFile``, which is a stream).  A pooled mode
+left with one worker runs the sequential loop, and its events are the
+sequential ones.  Split mode needs such a file.  Every mode reads an open
+file object from where it stands.  The sequential and pipeline modes also
+take an iterable of chunk payloads, record-aligned ``bytes`` the caller has
+already cut, and apply the function to each as a chunk.
 
 ``iter_apply`` yields the results lazily, in chunk order, each as soon as it
 and every result before it are done; ``chunk_apply`` is its list.
@@ -36,6 +36,7 @@ their own reading, emits none unless it is left with one worker.
 
 from __future__ import annotations
 
+import io
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -72,13 +73,15 @@ class ApplyConfig:
 
 def _extent(source):
     """``(path, origin, size)``: the regular file ``source`` names or reads,
-    where an open handle stands in it, and the bytes from there on.  Bytes
-    have no path; a pipe, a device or another stream has no size either."""
+    where an open file object stands in it, and the bytes from there on.
+    Bytes have no path; a pipe, a device or another stream, such as a
+    ``GzipFile`` whose name is its compressed file, has no size either."""
     if isinstance(source, (bytes, bytearray)):
         return None, 0, len(source)
     path = source
     if not isinstance(source, (str, Path)):
-        path = getattr(source, "name", None)
+        plain = isinstance(getattr(source, "raw", source), io.FileIO)
+        path = source.name if plain else None
     if not isinstance(path, (str, Path)) or not os.path.isfile(path):
         return None, 0, None
     origin = 0 if path is source else source.tell()

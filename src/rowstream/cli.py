@@ -340,7 +340,12 @@ def cmd_mm(args) -> int:
     from .model_matrix import (TermSpec, expand, normalize_hhmm_column,
                                spec_names)
 
-    marker = _refuse_unfinished(args.out)
+    out = Path(args.out)
+    for path in args.inputs if out.exists() else ():
+        if os.path.exists(path) and os.path.samefile(path, out):
+            raise RowstreamError(f"--out {out} is the input {path}: mm would "
+                                 "append to its own input")
+    marker = _refuse_unfinished(out)
     cfg = _default_chunker()
     sep = _sep_bytes(args.sep)
     terms, hhmm_cols = _build_terms(args.terms or [])
@@ -351,7 +356,6 @@ def cmd_mm(args) -> int:
     spec = TermSpec(response=args.response, terms=tuple(terms))
     names = spec_names(spec)
     used = {spec.response, *(term.column for term in spec.terms)}
-    out = Path(args.out)
     if sidecar_path(out).exists():
         existing = read_sidecar(out)
         if existing != names:

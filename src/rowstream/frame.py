@@ -20,12 +20,8 @@ quote byte, a separator is literal when an odd number of its record's quote
 bytes lie before it (a quote mask from parity, as in Langdale and Lemire,
 "Parsing Gigabytes of JSON per Second", VLDB J. 2019), and the fields are
 read from one copy of the chunk without the quote bytes that open and close
-regions.  :func:`_gather` copies a column of fields straight into an ``S``
-array, with no Python object per field, so the memory a parse takes beyond
-its result is a fraction of its chunk, and a skipped column costs only its
-share of the scan.  The few fields that array cannot hold exactly (a NUL,
-a field too long to widen every field to, a quoted null spelling) are
-handed over beside it, and ``convert_column`` reads each alone.
+regions.  Each converted column's fields are then gathered into one array
+by ``_coerce._gather``; a skipped column costs only its share of the scan.
 """
 
 from __future__ import annotations
@@ -35,8 +31,8 @@ from typing import Union
 
 import numpy as np
 
-from ._coerce import (_TYPES, ColumnType, _logical_bulk, _null_mask,
-                     convert_column)
+from ._coerce import (_TYPES, ColumnType, _gather, _logical_bulk, _nuls,
+                     _null_mask, convert_column)
 from .errors import (
     HeaderArityMismatch,
     MissingColumn,
@@ -65,9 +61,6 @@ _SAMPLE_RECORDS = 1000
 _SCAN_BYTES = 1 << 15
 # chunks from this size on need int64 offsets
 _INT32_LIMIT = 1 << 31
-
-# _BYTE_MASKS[i] keeps the first i bytes of a little-endian 64-bit word
-_BYTE_MASKS = np.array([(1 << 8 * i) - 1 for i in range(9)], np.dtype("<u8"))
 
 
 @dataclass(frozen=True)
@@ -369,59 +362,6 @@ def _quote_mask(b: np.ndarray, ends: np.ndarray, sep: int, quote: int):
         inside = inside[b[ends[inside] + 1] != 10]
     lost = quotes[(k % 2 == 1) | (np.diff(quotes, prepend=-2) != 1)]
     return np.delete(ends, inside), lost
-
-
-def _gather(data: bytes, starts: np.ndarray, ends: np.ndarray, nuls=None,
-            quoted=None):
-    """``(fields, lengths, wide)``: the fields ``data[s:e]`` as one ``S``
-    array, their byte counts, and ``wide``, which maps the index of each
-    field the array cannot hold exactly to its bytes and leaves its slot
-    empty.  Those are a field holding a NUL, given ``_nuls(data)``, since
-    an ``S`` array strips a trailing one; a field too long to widen every
-    field to without making the array over four times ``data``; and a
-    field flagged ``quoted`` and spelled like a null, which is a value.
-    Each field is copied as whole 64-bit words from its start, and the
-    words are masked past its end; a field within a window of the end of
-    ``data`` is copied from a padded copy of that window."""
-    lens = ends - starts
-    longest = int(lens.max(initial=0))
-    # the width, in whole 64-bit words, that every field may be widened to
-    # while the array stays within four times data
-    cap = max(4 * len(data) // max(len(lens), 1) // 8 * 8, 8)
-    odd = lens > cap if longest > cap else False  # False: no mask built
-    if nuls is not None:
-        odd = odd | (np.searchsorted(nuls, ends)
-                     > np.searchsorted(nuls, starts))
-    if odd is not False:
-        lens = np.where(odd, 0, lens)
-        longest = int(lens.max(initial=0))
-    width = max(-(-longest // 8) * 8, 8)
-    cut = max(len(data) + 1 - width, 0)  # a window from here on runs past
-    tail = np.ndarray((len(data) + 1 - cut,), dtype=f"S{width}",
-                      buffer=data[cut:] + bytes(width), strides=(1,))
-    if cut:
-        windows = np.ndarray((cut,), dtype=f"S{width}", buffer=data,
-                             strides=(1,))
-        fields = windows[np.minimum(starts, cut - 1)]
-        late = np.flatnonzero(starts >= cut)
-        fields[late] = tail[starts[late] - cut]
-    else:
-        fields = tail[starts]
-    words = fields.view("<u8").reshape(len(fields), width // 8)
-    words &= _BYTE_MASKS[np.clip(lens - np.arange(0, width, 8)[:, None],
-                                 0, 8)].T
-    if quoted is not None:
-        odd = odd | quoted & _null_mask(fields)
-    if odd is False:
-        return fields, lens, {}
-    return fields, lens, {i: data[starts[i]:ends[i]]
-                          for i in np.flatnonzero(odd).tolist()}
-
-
-def _nuls(data: bytes):
-    """The positions of the NUL bytes in ``data``, or None if it has none."""
-    return (np.flatnonzero(np.frombuffer(data, np.uint8) == 0)
-            if b"\x00" in data else None)
 
 
 def _uniform_arity(counts) -> int:

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._coerce import _TYPES, ColumnType, convert_column
+from ._coerce import _TYPES, ColumnType, _gather, _nuls, convert_column
 from .errors import SchemaError
-from .frame import (_field_offsets, _gather, _nuls, _record_blocks,
-                    _uniform_arity, check_layout)
+from .frame import _field_offsets, _record_blocks, _uniform_arity, check_layout
 
 __all__ = ["DenseMatrix", "parse_matrix"]
 

@@ -13,9 +13,9 @@ is configured and rejected with SeparatorCollision otherwise.  Newlines can
 never be embedded.  The guard is vectorized: the laid-out bytes must hold
 exactly the separators and LFs the layout wrote and no quote byte, which one
 count shows, and text cells are checked for the other cases by their
-lengths.  Only the rare cells it flags, or that are too long for their
-column's block, are guarded one by one and spliced into place.  Every
-record, including the last, ends in a newline.
+lengths.  Only the rare cells it flags, or that their column's block cannot
+hold (too long, or holding a NUL), are guarded one by one and spliced into
+place.  Every record, including the last, ends in a newline.
 """
 
 from __future__ import annotations

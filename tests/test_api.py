@@ -66,6 +66,29 @@ def test_every_module_import_is_read():
     assert unused == []
 
 
+def test_every_private_import_comes_from_its_owner():
+    # a private name is imported from the module that defines it, not through
+    # one that imports it, so each helper has one owner to read and move
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in (ROOT / "src" / "rowstream").glob("*.py")}
+    owned = {}
+    for module, tree in trees.items():
+        owned[module] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owned[module].add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                owned[module].update(n.id for n in ast.walk(node)
+                                     if isinstance(n, ast.Name)
+                                     and isinstance(n.ctx, ast.Store))
+    borrowed = [f"{module}: from .{node.module} import {alias.name}"
+                for module, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names if alias.name.startswith("_")
+                and alias.name not in owned.get(node.module, ())]
+    assert borrowed == []
+
+
 def test_benchmark_imports_resolve(monkeypatch, tmp_path):
     # perfbench/ is frozen between benchmark changes; every rowstream call
     # its in-process runs make must still bind, and give what its checks

@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import io
 import os
@@ -5,6 +6,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -318,6 +320,24 @@ def test_split_accepts_open_file_handle(tmp_path):
     with open(path, "rb") as fh:
         got = chunk_apply(fh, count_records, cfg("split", 2, target=4))
     assert sum(got) == 3
+    # a wrapper whose raw stream is a plain file is one too
+    with tempfile.NamedTemporaryFile(dir=tmp_path) as fh:
+        fh.write(b"a\nb\nc\n")
+        fh.flush()
+        fh.seek(0)
+        assert sum(chunk_apply(fh, count_records, cfg("split", 2, 4))) == 3
+
+
+def test_a_gzip_handle_is_a_stream(tmp_path):
+    # its name is the compressed file, which split must not chunk as records
+    path = tmp_path / "h.txt.gz"
+    with gzip.open(path, "wb") as fh:
+        fh.write(b"".join(b"%040x\n" % i for i in range(5000)))
+    with gzip.open(path, "rb") as fh, pytest.raises(NotSeekable):
+        chunk_apply(fh, count_records, cfg("split", 2, 4096))
+    with gzip.open(path, "rb") as fh:
+        got = chunk_apply(fh, count_records, cfg("pipeline", 2, 4096))
+    assert len(got) == 51 and sum(got) == 5000
 
 
 @pytest.mark.parametrize("mode", ["sequential", "pipeline", "split"])

@@ -532,6 +532,21 @@ def test_unfinished_checkpoint_is_refused(tmp_path, capsysbinary):
     assert out == b"" and "c.mm.partial" in err
 
 
+def test_mm_refuses_to_append_to_its_own_input(tmp_path, capsysbinary):
+    a = tmp_path / "a.csv"
+    a.write_bytes(b"y,x\n1.5,1\n2.5,2\n4.0,3\n")
+    before = a.read_bytes()
+    os.link(a, tmp_path / "b.csv")
+    for out in (a, tmp_path / "b.csv"):
+        code, _, err = run(["mm", str(tmp_path / "b.csv"), str(a), "--header",
+                            "--response", "y", "--numeric", "x", "--out",
+                            str(out)], capsysbinary)
+        assert code == 1
+        assert f"is the input {tmp_path / 'b.csv'}" in err
+    assert a.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
+
 def test_failed_mm_that_appended_nothing_allows_rerun(tmp_path, capsysbinary):
     a = tmp_path / "a.csv"
     a.write_bytes(b"2.0,5\n3.0,6\n4.0,7\n")

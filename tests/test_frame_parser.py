@@ -22,8 +22,8 @@ from rowstream import (
 )
 import rowstream._coerce
 import rowstream.frame
-from rowstream._coerce import convert_column
-from rowstream.frame import _SAMPLE_RECORDS, _field_offsets, _gather
+from rowstream._coerce import _gather, convert_column
+from rowstream.frame import _SAMPLE_RECORDS, _field_offsets
 
 from oracle import (_DTYPE, _FILL, _naive_split_fields, airline_csv,
                     concat_frames, naive_infer_schema, naive_parse_frame,

@@ -381,16 +381,23 @@ def test_quote_byte_inside_a_number_is_quoted():
         "V2", ColumnType.REAL, np.array([-0.5, 2.0]), np.zeros(2, dtype=bool))]))
 
 
-def test_one_long_text_cell_does_not_widen_every_row():
+@pytest.mark.parametrize("ctype", [ColumnType.CHARACTER, ColumnType.BYTES],
+                         ids=["character", "bytes"])
+def test_one_long_text_cell_does_not_widen_every_row(ctype):
     """A text column is spelled as a block of one row per cell; one long
     cell among short ones is spliced in on its own rather than setting the
     block's width.  The block and its keep mask are each at most four times
     the column's bytes, and laying out copies both once, so the peak is
     about 17 times the output here; a 500 x 40,001 block would take 20 MB,
-    460 times the output, before its mask and copies."""
+    460 times the output, before its mask and copies.  A cell holding a
+    NUL, in the Bytes column, is spliced in on its own as well."""
     cells = ["ab"] * 500
     cells[7] = "x" * 40_000
-    frame = Frame([int_column("i", np.arange(500)), char_column("v", cells)])
+    if ctype is ColumnType.BYTES:
+        cells = [cell.encode() for cell in cells]
+        cells[300] = b"a\x00b"
+    frame = Frame([int_column("i", np.arange(500)),
+                   Column("v", ctype, cells, np.zeros(500, np.bool_))])
     tracemalloc.start()
     try:
         out = format_frame(frame)
