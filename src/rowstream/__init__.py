@@ -6,12 +6,17 @@ record-aligned chunks, ``frame``/``matrix`` turn a chunk into typed columns,
 into a numeric design, ``ols`` accumulates and solves normal equations, and
 ``apply`` runs any chunk function sequentially, pipelined, or over byte-range
 splits.  The ``rowstream`` console script fronts the common paths.
+
+The public API is the names this package exports, ``rowstream.__all__``,
+and ``_EXPORTS`` below is their one declaration: the modules list none of
+their own, and a name the table leaves out is internal.
 """
 
 import importlib
 
 # the public names by the module that defines it: a module is imported when
-# one of its names is first looked up (PEP 562)
+# one of its names is first looked up (PEP 562), so the table lives here:
+# reading it from the modules would import every one of them
 _EXPORTS = {
     "_coerce": ("ColumnType",),
     "apply": ("ApplyConfig", "chunk_apply", "iter_apply"),
@@ -23,8 +28,7 @@ _EXPORTS = {
                "SchemaError", "SeparatorCollision", "StrictViolation",
                "UnknownLevel", "WorkerFailure"),
     "frame": ("Column", "Frame", "ParseReport", "Schema", "check_layout",
-              "frames_equal", "infer_schema", "parse_frame",
-              "parse_frame_with_header"),
+              "infer_schema", "parse_frame", "parse_frame_with_header"),
     "matrix": ("DenseMatrix", "parse_matrix"),
     "model_matrix": ("ExpandReport", "FactorTerm", "NumericTerm", "TermSpec",
                      "expand", "normalize_hhmm_column", "spec_names"),

@@ -47,8 +47,6 @@ from typing import Callable, Iterator, Optional
 from .chunker import Chunk, ChunkerConfig, _raw_chunks, iter_chunks
 from .errors import NotSeekable, WorkerFailure
 
-__all__ = ["MODES", "ApplyConfig", "chunk_apply", "iter_apply"]
-
 MODES = ("sequential", "pipeline", "split")
 
 

@@ -379,8 +379,8 @@ def cmd_mm(args) -> int:
                 matrix, xreport = expand(frame, spec, lenient_levels=True)
                 data = format_matrix(matrix, b",")
                 if sink is None:
-                    marker.touch()  # unfinished only once the data changes
                     sink = stack.enter_context(open(out, "ab"))
+                    marker.touch()  # unfinished only once the data changes
                 append_to_checkpoint(sink, data)
                 n_input += xreport.n_input
                 n_rows += xreport.n_rows

@@ -41,19 +41,6 @@ from .errors import (
     StrictViolation,
 )
 
-__all__ = [
-    "ColumnType",
-    "Schema",
-    "Column",
-    "Frame",
-    "ParseReport",
-    "parse_frame",
-    "parse_frame_with_header",
-    "infer_schema",
-    "frames_equal",
-    "check_layout",
-]
-
 # records after any header that infer_schema samples
 _SAMPLE_RECORDS = 1000
 # bytes per block of the offset scan: an array over each of a block's
@@ -161,9 +148,32 @@ class Frame:
         raise MissingColumn(f"no column {name!r}")
 
     def __eq__(self, other):
+        """Structural equality: names, types, null masks, and non-null values.
+
+        Floating columns compare bit-for-bit (so signed zeros must match and
+        NaNs compare equal to themselves); values at null slots are ignored.
+        """
         if not isinstance(other, Frame):
             return NotImplemented
-        return frames_equal(self, other)
+        if self.names != other.names or self.n_rows != other.n_rows:
+            return False
+        for ca, cb in zip(self.columns, other.columns):
+            if ca.ctype is not cb.ctype or not np.array_equal(ca.mask, cb.mask):
+                return False
+            keep = ~ca.mask
+            if isinstance(ca.values, list):
+                va = [v for v, k in zip(ca.values, keep) if k]
+                vb = [v for v, k in zip(cb.values, keep) if k]
+                if va != vb:
+                    return False
+                continue
+            va, vb = np.asarray(ca.values)[keep], np.asarray(cb.values)[keep]
+            if ca.ctype in (ColumnType.REAL, ColumnType.TIMESTAMP,
+                            ColumnType.COMPLEX):
+                va, vb = va.view(np.uint64), vb.view(np.uint64)
+            if not np.array_equal(va, vb):
+                return False
+        return True
 
 
 @dataclass
@@ -379,7 +389,24 @@ def _uniform_arity(counts) -> int:
     return int(counts[0])
 
 
-def _build_frame(chunk: bytes, schema: Schema):
+def _enforce_strict(report: ParseReport):
+    problems = []
+    if report.total_failures:
+        problems.append(f"{report.total_failures} coercion failures")
+    if report.short_rows:
+        problems.append(f"{report.short_rows} short rows")
+    if report.long_rows:
+        problems.append(f"{report.long_rows} long rows")
+    if problems:
+        raise StrictViolation(", ".join(problems))
+
+
+def parse_frame(chunk: bytes, schema: Schema, *, strict: bool = False):
+    """Parse a record-aligned chunk into a Frame.
+
+    Returns ``(frame, report)``.  With ``strict=True`` any coercion failure
+    or ragged row raises StrictViolation instead of being counted.
+    """
     n_cols = len(schema.types)
     kept = [j for j, t in enumerate(schema.types) if t is not ColumnType.SKIP]
     cols = None if len(kept) == n_cols else np.array(kept, np.intp)
@@ -401,31 +428,9 @@ def _build_frame(chunk: bytes, schema: Schema):
         failures[names[k]] = fails
     report = ParseReport(len(counts), int(np.count_nonzero(counts < n_cols)),
                          int(np.count_nonzero(counts > n_cols)), failures)
-    return Frame(columns), report
-
-
-def _enforce_strict(report: ParseReport):
-    problems = []
-    if report.total_failures:
-        problems.append(f"{report.total_failures} coercion failures")
-    if report.short_rows:
-        problems.append(f"{report.short_rows} short rows")
-    if report.long_rows:
-        problems.append(f"{report.long_rows} long rows")
-    if problems:
-        raise StrictViolation(", ".join(problems))
-
-
-def parse_frame(chunk: bytes, schema: Schema, *, strict: bool = False):
-    """Parse a record-aligned chunk into a Frame.
-
-    Returns ``(frame, report)``.  With ``strict=True`` any coercion failure
-    or ragged row raises StrictViolation instead of being counted.
-    """
-    frame, report = _build_frame(chunk, schema)
     if strict:
         _enforce_strict(report)
-    return frame, report
+    return Frame(columns), report
 
 
 def _header_names(chunk: bytes, schema: Schema) -> list:
@@ -504,44 +509,4 @@ def _reads_all(cells: np.ndarray, wide, ctype: ColumnType) -> bool:
         cells.astype(row.dtype)
     except (ValueError, OverflowError):
         return False
-    return True
-
-
-def _float_bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(
-        np.ascontiguousarray(a).view(np.uint64),
-        np.ascontiguousarray(b).view(np.uint64),
-    )
-
-
-def frames_equal(a: Frame, b: Frame) -> bool:
-    """Structural equality: names, types, null masks, and non-null values.
-
-    Floating columns compare bit-for-bit (so signed zeros must match and
-    NaNs compare equal to themselves); values at null slots are ignored.
-    """
-    if a.names != b.names or a.n_rows != b.n_rows:
-        return False
-    if [c.ctype for c in a.columns] != [c.ctype for c in b.columns]:
-        return False
-    for ca, cb in zip(a.columns, b.columns):
-        if not np.array_equal(ca.mask, cb.mask):
-            return False
-        keep = ~ca.mask
-        if isinstance(ca.values, list):
-            va = [v for v, k in zip(ca.values, keep) if k]
-            vb = [v for v, k in zip(cb.values, keep) if k]
-            if va != vb:
-                return False
-        elif ca.ctype in (ColumnType.REAL, ColumnType.TIMESTAMP,
-                          ColumnType.COMPLEX):
-            if not _float_bits_equal(
-                np.asarray(ca.values)[keep], np.asarray(cb.values)[keep]
-            ):
-                return False
-        else:
-            if not np.array_equal(
-                np.asarray(ca.values)[keep], np.asarray(cb.values)[keep]
-            ):
-                return False
     return True

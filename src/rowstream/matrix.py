@@ -16,8 +16,6 @@ from ._coerce import _TYPES, ColumnType, _gather, _nuls, convert_column
 from .errors import SchemaError
 from .frame import _field_offsets, _record_blocks, _uniform_arity, check_layout
 
-__all__ = ["DenseMatrix", "parse_matrix"]
-
 _MATRIX_TYPES = (
     ColumnType.LOGICAL,
     ColumnType.INTEGER,

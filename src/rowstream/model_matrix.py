@@ -10,7 +10,6 @@ model fits that slice columns differently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -18,16 +17,6 @@ from ._coerce import INT64_MAX, INT64_MIN, ColumnType
 from .errors import OutOfRange, SchemaError, UnknownLevel
 from .frame import Column, Frame
 from .matrix import DenseMatrix
-
-__all__ = [
-    "NumericTerm",
-    "FactorTerm",
-    "TermSpec",
-    "ExpandReport",
-    "normalize_hhmm_column",
-    "spec_names",
-    "expand",
-]
 
 _NUMERIC_OK = (
     ColumnType.LOGICAL,
@@ -61,9 +50,6 @@ class FactorTerm:
             raise SchemaError(f"factor {self.column!r} has no levels")
         if len(set(self.levels)) != len(self.levels):
             raise SchemaError(f"factor {self.column!r} has duplicate levels")
-
-
-Term = Union[NumericTerm, FactorTerm]
 
 
 @dataclass(frozen=True)

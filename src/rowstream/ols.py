@@ -25,15 +25,6 @@ from .errors import (
 )
 from .matrix import DenseMatrix
 
-__all__ = [
-    "DEFAULT_RANK_TOL",
-    "NormalEqAccumulator",
-    "RegressionFit",
-    "accumulate",
-    "merge",
-    "solve_ne",
-]
-
 DEFAULT_RANK_TOL = 1e-7
 
 

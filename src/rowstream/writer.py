@@ -30,15 +30,6 @@ from .errors import OutOfRange, SeparatorCollision
 from .frame import Frame, check_layout
 from .matrix import DenseMatrix
 
-__all__ = [
-    "format_frame",
-    "format_matrix",
-    "append_to_checkpoint",
-    "write_sidecar",
-    "read_sidecar",
-    "sidecar_path",
-]
-
 # matrix dtype kind -> element type; any other kind holds text, None as null
 _KIND_TYPES = {"f": ColumnType.REAL, "i": ColumnType.INTEGER, "u": ColumnType.INTEGER,
                "b": ColumnType.LOGICAL, "c": ColumnType.COMPLEX,

@@ -28,7 +28,6 @@ from rowstream import (
     accumulate,
     chunk_apply,
     expand,
-    frames_equal,
     iter_chunks,
     normalize_hhmm_column,
     parse_frame,
@@ -90,7 +89,7 @@ def test_01_chunk_size_invariance(million_row_csv):
             for name, count in report.column_failures.items():
                 failures[name] = failures.get(name, 0) + count
         got = concat_frames(parts)
-        assert frames_equal(reference, got), f"mismatch at target={target}"
+        assert reference == got, f"mismatch at target={target}"
         assert failures == ref_report.column_failures
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
@@ -105,7 +104,7 @@ def test_02_thousand_roundtrips():
     for i in range(1000):
         frame = random_frame(rng)
         back, _ = roundtrip(frame, field_sep=seps[i % len(seps)])
-        assert frames_equal(frame, back), f"round-trip {i} not exact"
+        assert frame == back, f"round-trip {i} not exact"
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     print(f"PASS 2: 1000 randomized frames round-tripped exactly "

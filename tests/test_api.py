@@ -43,20 +43,40 @@ def test_every_private_module_name_is_read():
     assert sorted(private - read) == []
 
 
+def test_every_public_module_name_is_read_or_exported():
+    # a module-level public name that no module reads and the package does
+    # not export is dead code: rowstream's name table is the public API
+    defined, read = {}, set()
+    for path in sorted((ROOT / "src" / "rowstream").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.update((t.id, path.name) for t in targets
+                               if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [f"{module}: {name}" for name, module in sorted(defined.items())
+            if not name.startswith("_") and name not in read
+            and name not in rowstream.__all__]
+    assert dead == []
+
+
 def test_every_module_import_is_read():
     # a module-level import that its module never reads is left over from
-    # deleted code; names in __all__ are read by importers
+    # deleted code
     unused = []
     for path in sorted((ROOT / "src" / "rowstream").glob("*.py")):
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)
                 and isinstance(node.ctx, ast.Load)}
-        for node in tree.body:
-            targets = getattr(node, "targets", ())
-            if [getattr(t, "id", None) for t in targets] == ["__all__"]:
-                read.update(c.value for c in ast.walk(node.value)
-                            if isinstance(c, ast.Constant))
         for node in tree.body:
             if (isinstance(node, (ast.Import, ast.ImportFrom))
                     and getattr(node, "module", None) != "__future__"):

@@ -497,6 +497,39 @@ def test_mm_concatenation_property(tmp_path, capsysbinary):
     assert read_sidecar(split) == read_sidecar(both)
 
 
+def _mm_at(argv, target):
+    """Run ``mm ... --out``: (exit code, checkpoint bytes, sidecar bytes),
+    with CHUNK_TARGET_BYTES set to ``target`` or unset for None."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ), contextlib.redirect_stderr(err):
+        os.environ.pop("CHUNK_TARGET_BYTES", None)
+        if target is not None:
+            os.environ["CHUNK_TARGET_BYTES"] = str(target)
+        out = Path(tmp, "out.mm")
+        code = main(argv + ["--out", str(out)])
+        return code, out.read_bytes(), Path(tmp, "out.mm.names").read_bytes()
+
+
+@pytest.mark.parametrize("target", [None, 1, 7, 64])
+def test_mm_skip_equals_mm_of_the_rest(tmp_path, target):
+    # --skip k at any chunk size acts as if the first k records were absent,
+    # before --header takes the next record as the names
+    preamble = [b"# ok", b"# s,m"]
+    data = [b"1.5,1", b"NA,2", b"2.5,3", b"4.0,4", b"5.5,5"]
+    cases = [(preamble + [b"y,x"] + data, 2,
+              ["--header", "--response", "y", "--numeric", "x"])]
+    cases += [(data, k, ["--schema", "r,i", "--response", "V1", "--numeric",
+                         "V2"]) for k in (0, 1, 3, 5)]
+    whole, rest = tmp_path / "whole.csv", tmp_path / "rest.csv"
+    for records, k, flags in cases:
+        whole.write_bytes(b"".join(r + b"\n" for r in records))
+        rest.write_bytes(b"".join(r + b"\n" for r in records[k:]))
+        got = _mm_at(["mm", str(whole), "--skip", str(k), *flags], target)
+        want = _mm_at(["mm", str(rest), *flags], None)
+        assert got == want and got[0] == 0
+
+
 def test_mm_rejects_mismatched_existing_sidecar(tmp_path, capsysbinary):
     src = tmp_path / "toy.csv"
     write_toy_input(src)
@@ -568,6 +601,21 @@ def test_failed_mm_that_appended_nothing_allows_rerun(tmp_path, capsysbinary):
     code, _, err = run(["fit", str(ckpt), "--response", "V1"], capsysbinary)
     assert code == 0
     assert "rows: 3," in err
+
+
+def test_mm_that_cannot_open_out_leaves_no_marker(tmp_path, capsysbinary):
+    # the marker says the data changed; opening --out failed, so nothing did,
+    # and a rerun meets the same error instead of a refusal
+    a = tmp_path / "a.csv"
+    a.write_bytes(b"y,x\n1.5,1\n2.5,2\n")
+    out = tmp_path / "outdir"
+    out.mkdir()
+    for _ in range(2):
+        code, _, err = run(["mm", str(a), "--header", "--response", "y",
+                            "--numeric", "x", "--out", str(out)], capsysbinary)
+        assert code == 1
+        assert "Is a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "outdir"]
 
 
 def test_mm_of_an_input_without_records_writes_an_empty_checkpoint(
@@ -738,6 +786,29 @@ def test_fit_reports_aliased_column(tmp_path, capsysbinary):
     text = out.decode()
     assert "aliased: x_dup" in text
     assert "x_dup " not in text.split("aliased")[0]
+
+
+def test_fit_rank_tol_sets_the_aliasing_threshold(tmp_path, capsysbinary):
+    # z is x plus noise 1e-3 as large: full rank at the default tolerance,
+    # aliased at a looser one
+    rng = np.random.default_rng(3)
+    rows = []
+    for _ in range(200):
+        x = rng.normal()
+        z = x + 1e-3 * rng.normal()
+        rows.append(b"1.0,%r,%r,%r\n" % (2.0 * x + 0.5 * z + 0.1 * rng.normal(),
+                                          x, z))
+    ckpt = tmp_path / "near.mm"
+    ckpt.write_bytes(b"".join(rows))
+    write_sidecar(ckpt, ["(Intercept)", "y", "x", "z"])
+    code, out, err = run(["fit", str(ckpt), "--response", "y"], capsysbinary)
+    assert code == 0
+    assert "aliased" not in out.decode() and "rank: 3/3" in err
+    assert re.search(r"^z +\S+$", out.decode(), re.M)
+    code, out, err = run(["fit", str(ckpt), "--response", "y",
+                          "--rank-tol", "1e-4"], capsysbinary)
+    assert code == 0
+    assert "aliased: z" in out.decode() and "rank: 2/3" in err
 
 
 def test_fit_missing_response(tmp_path, capsysbinary):

@@ -14,7 +14,6 @@ from rowstream import (
     Schema,
     SchemaError,
     StrictViolation,
-    frames_equal,
     infer_schema,
     parse_frame,
     parse_frame_with_header,
@@ -361,7 +360,7 @@ def test_concat_matches_single_parse():
         rest = rest[cut:]
     realigned.append(rest)
     parts = [parse_frame(p, schema)[0] for p in realigned]
-    assert frames_equal(concat_frames(parts), whole)
+    assert concat_frames(parts) == whole
 
 
 def test_concat_rejects_mismatched_columns():
@@ -482,7 +481,7 @@ def test_whole_frame_matches_naive_reference():
     schema = Schema((I, R, C, L))
     bulk_frame, bulk_report = parse_frame(data, schema)
     ref_frame, ref_report = naive_parse_frame(data, schema)
-    assert frames_equal(bulk_frame, ref_frame)
+    assert bulk_frame == ref_frame
     assert bulk_report == ref_report
 
 
@@ -498,7 +497,7 @@ def test_offset_path_takes_a_64k_field(n_records):
     schema = Schema((I, R, C))
     frame, report = parse_frame(data, schema)
     ref_frame, ref_report = naive_parse_frame(data, schema)
-    assert frames_equal(frame, ref_frame) and report == ref_report
+    assert frame == ref_frame and report == ref_report
     assert frame.columns[1].values[1] == 5.0
     assert frame.columns[2].values[1] == "\u00e9" * 32768
     assert infer_schema(data) == naive_infer_schema(data)
@@ -529,7 +528,7 @@ def _scan_agrees(data, schema):
     frame and report."""
     frame, report = parse_frame(data, schema)
     ref_frame, ref_report = naive_parse_frame(data, schema)
-    assert frames_equal(frame, ref_frame) and report == ref_report
+    assert frame == ref_frame and report == ref_report
     return frame, report
 
 
@@ -729,7 +728,7 @@ def test_parse_is_deterministic(tokens, ctype):
     schema = Schema((ctype,))
     first, r1 = parse_frame(data, schema)
     second, r2 = parse_frame(data, schema)
-    assert frames_equal(first, second)
+    assert first == second
     assert r1 == r2
 
 
@@ -827,7 +826,7 @@ def test_one_long_cell_is_not_a_column_width(kind, ctype):
     finally:
         tracemalloc.stop()
     want = naive_parse_frame(chunk, schema)
-    assert frames_equal(got[0], want[0]) and got[1] == want[1]
+    assert got[0] == want[0] and got[1] == want[1]
     assert peak < 16 * len(chunk), peak / len(chunk)
 
 

@@ -22,7 +22,6 @@ from rowstream import (
     SchemaError,
     format_frame,
     format_matrix,
-    frames_equal,
     infer_schema,
     parse_frame,
     parse_matrix,
@@ -60,7 +59,7 @@ def _check_against_reference(rows, crlf, final_newline, sep, quote, types,
                     quote=None if quote == sep else quote)
     frame, report = parse_frame(chunk, schema)
     ref_frame, ref_report = naive_parse_frame(chunk, schema)
-    assert frames_equal(frame, ref_frame)
+    assert frame == ref_frame
     assert report == ref_report
 
 

@@ -17,7 +17,6 @@ from rowstream import (
     SeparatorCollision,
     format_frame,
     format_matrix,
-    frames_equal,
     parse_matrix,
     read_sidecar,
     sidecar_path,
@@ -80,9 +79,9 @@ def test_trailing_cr_quoted_only_in_last_column():
     # mid-record \r is harmless (strip_cr only touches the record tail)
     assert out == b'x\r,"y\r"\n'
     back, _ = roundtrip(frame)
-    assert frames_equal(back, Frame([
+    assert back == Frame([
         char_column("V1", ["x\r"]), char_column("V2", ["y\r"]),
-    ]))
+    ])
 
 
 def test_embedded_newline_always_fatal():
@@ -283,7 +282,7 @@ def test_random_frames_roundtrip(seed):
         frame = random_frame(rng)
         back, report = roundtrip(frame)
         assert report.total_failures == 0
-        assert frames_equal(frame, back)
+        assert frame == back
 
 
 @pytest.mark.parametrize("sep", [b"|", b"\t", b";"])
@@ -292,7 +291,7 @@ def test_roundtrip_with_other_separators(sep):
     for _ in range(10):
         frame = random_frame(rng)
         back, _ = roundtrip(frame, field_sep=sep)
-        assert frames_equal(frame, back)
+        assert frame == back
 
 
 def test_reserialization_is_idempotent():
@@ -377,8 +376,8 @@ def test_quote_byte_inside_a_number_is_quoted():
     out = format_frame(frame, quote=b"-")
     assert out == b"---5-,---0.5-\n3,2.0\n"
     back, _ = roundtrip(frame, quote=b"-")
-    assert frames_equal(back, Frame([int_column("V1", [-5, 3]), Column(
-        "V2", ColumnType.REAL, np.array([-0.5, 2.0]), np.zeros(2, dtype=bool))]))
+    assert back == Frame([int_column("V1", [-5, 3]), Column(
+        "V2", ColumnType.REAL, np.array([-0.5, 2.0]), np.zeros(2, dtype=bool))])
 
 
 @pytest.mark.parametrize("ctype", [ColumnType.CHARACTER, ColumnType.BYTES],
